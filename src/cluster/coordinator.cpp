@@ -116,7 +116,7 @@ engine::ClusterPlanEntry ClusterCoordinator::plan(
 }
 
 ClusterRun ClusterCoordinator::price(
-    const std::vector<cds::CdsOption>& options) {
+    std::span<const cds::CdsOption> options) {
   ClusterRun out;
   out.n_nodes = nodes_.size();
   if (options.empty()) {
@@ -130,8 +130,8 @@ ClusterRun ClusterCoordinator::price(
                  "cluster plan shard count mismatch");
 
   struct ShardState {
-    std::vector<cds::SpreadResult> results;
-    std::vector<cds::Sensitivities> greeks;
+    /// Rows only: results, and sensitivities in risk mode.
+    engine::PricingRun rows;
     double engine_seconds = 0.0;
     std::size_t node = 0;
     bool resubmitted = false;
@@ -191,14 +191,13 @@ ClusterRun ClusterCoordinator::price(
       }
 
       const auto& shard = shards[idx];
-      const std::vector<cds::CdsOption> slice(options.begin() + shard.begin,
-                                              options.begin() + shard.end);
       bool priced = false;
       std::string node_failure;
       std::string fatal;
       try {
         clients_[k].send(net::encode_shard_price(
-            static_cast<std::uint32_t>(idx), slice, config_.risk));
+            static_cast<std::uint32_t>(idx),
+            options.subspan(shard.begin, shard.size()), config_.risk));
         auto reply = clients_[k].read_frame_for(response_timeout_us);
         if (!reply.has_value()) {
           node_failure = "shard response timed out";
@@ -209,8 +208,8 @@ ClusterRun ClusterCoordinator::price(
             fatal = "cluster node '" + nodes_[k].address +
                     "': shard result does not match its request";
           } else {
-            done[idx].results = std::move(reply->results);
-            done[idx].greeks = std::move(reply->greeks);
+            done[idx].rows.results = std::move(reply->results);
+            done[idx].rows.sensitivities = std::move(reply->greeks);
             done[idx].engine_seconds = reply->engine_seconds;
             priced = true;
           }
@@ -304,17 +303,8 @@ ClusterRun ClusterCoordinator::price(
   out.shards.reserve(shards.size());
   std::vector<double> node_busy(nodes_.size(), 0.0);
   for (const auto& shard : shards) {
-    auto& state = done[shard.index];
-    CDSFLOW_ASSERT(state.results.size() == shard.size(),
-                   "shard result count mismatch");
-    out.run.results.insert(out.run.results.end(), state.results.begin(),
-                           state.results.end());
-    if (config_.risk) {
-      CDSFLOW_ASSERT(state.greeks.size() == shard.size(),
-                     "shard sensitivity count mismatch");
-      out.run.sensitivities.insert(out.run.sensitivities.end(),
-                                   state.greeks.begin(), state.greeks.end());
-    }
+    const auto& state = done[shard.index];
+    runtime::append_shard_rows(shard, state.rows, out.run);
     const std::uint64_t bytes =
         net::shard_price_frame_bytes(shard.size()) +
         net::shard_result_frame_bytes(shard.size(), config_.risk);

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,7 +127,7 @@ class ClusterCoordinator {
   /// Prices the book across the cluster. An empty book returns an empty
   /// run. Throws cdsflow::Error when a worker rejects a shard or every
   /// node is lost with shards outstanding.
-  ClusterRun price(const std::vector<cds::CdsOption>& options);
+  ClusterRun price(std::span<const cds::CdsOption> options);
 
  private:
   CoordinatorConfig config_;

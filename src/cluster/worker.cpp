@@ -1,7 +1,6 @@
 #include "cluster/worker.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -12,32 +11,6 @@
 
 namespace cdsflow::cluster {
 namespace {
-
-std::string clip_detail(const std::string& detail) {
-  return detail.size() <= net::kMaxRejectDetailBytes
-             ? detail
-             : detail.substr(0, net::kMaxRejectDetailBytes);
-}
-
-bool validate_options(const std::vector<cds::CdsOption>& options,
-                      std::string* error) {
-  for (const auto& option : options) {
-    if (!std::isfinite(option.maturity_years) ||
-        !std::isfinite(option.payment_frequency) ||
-        !std::isfinite(option.recovery_rate)) {
-      *error = "option " + std::to_string(option.id) +
-               " carries a non-finite field";
-      return false;
-    }
-    try {
-      option.validate();
-    } catch (const Error& e) {
-      *error = e.what();
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Risk mode of a registry engine name: the CPU grammar's -risk token
 /// (simulated FPGA engines only price).
@@ -121,12 +94,11 @@ void ClusterWorker::on_frame(net::Server& server, int conn,
                                    : "worker engine runs in price mode"));
         return;
       }
-      std::string error;
-      if (!validate_options(frame.options, &error)) {
+      if (const auto error = net::option_reject_detail(frame.options)) {
         ++stats_.rejects;
         server.send(conn, net::encode_reject(0, frame.request,
                                              net::RejectReason::kMalformed,
-                                             clip_detail(error)));
+                                             *error));
         return;
       }
       if (config_.fail_after_shards > 0 &&
@@ -169,7 +141,7 @@ void ClusterWorker::on_malformed(net::Server& server, int conn,
   // Last frame out before the server tears the connection down -- this is
   // how a version-mismatched peer learns it is being rejected.
   server.send(conn, net::encode_reject(0, 0, net::RejectReason::kMalformed,
-                                       clip_detail(error)));
+                                       net::clip_reject_detail(error)));
 }
 
 void ClusterWorker::on_tick(net::Server& server) {

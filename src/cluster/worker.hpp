@@ -85,8 +85,8 @@ class ClusterWorker : public net::ServerHandler {
   WorkerConfig config_;
   /// Loop-thread-confined, not lock-guarded: every callback runs on the
   /// worker's single net::Server poll loop, and the stats are read after
-  /// serve() returned. The runtime's internals (pool, replica free-list,
-  /// collector) carry the real capabilities; see docs/CONCURRENCY.md.
+  /// serve() returned. The runtime's lane pool carries the real
+  /// capabilities; see docs/CONCURRENCY.md.
   runtime::PortfolioRuntime runtime_;
   engine::BackendCandidate fit_;
   bool risk_mode_ = false;

@@ -31,7 +31,7 @@ std::string ClusterEngine::description() const {
          " engine(s), options scattered across independent PCIe links";
 }
 
-PricingRun ClusterEngine::price(const std::vector<cds::CdsOption>& options) {
+PricingRun ClusterEngine::price(std::span<const cds::CdsOption> options) {
   CDSFLOW_EXPECT(!options.empty(), "price() requires options");
   const unsigned cards = config_.n_cards;
   CDSFLOW_EXPECT(options.size() >=
@@ -50,9 +50,7 @@ PricingRun ClusterEngine::price(const std::vector<cds::CdsOption>& options) {
   std::size_t begin = 0;
   for (unsigned card = 0; card < cards; ++card) {
     const std::size_t len = base + (card < extra ? 1 : 0);
-    const std::vector<cds::CdsOption> chunk(
-        options.begin() + static_cast<std::ptrdiff_t>(begin),
-        options.begin() + static_cast<std::ptrdiff_t>(begin + len));
+    const auto chunk = options.subspan(begin, len);
     begin += len;
 
     // Each card independently pays its own PCIe transfer + arbitration

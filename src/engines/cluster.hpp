@@ -37,7 +37,7 @@ class ClusterEngine final : public Engine {
   std::string name() const override;
   std::string description() const override;
 
-  PricingRun price(const std::vector<cds::CdsOption>& options) override;
+  PricingRun price(std::span<const cds::CdsOption> options) override;
 
   unsigned n_cards() const { return config_.n_cards; }
   unsigned total_engines() const {

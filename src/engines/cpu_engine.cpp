@@ -74,7 +74,7 @@ bool CpuEngine::uses_openmp() {
 #endif
 }
 
-void CpuEngine::price_chunk(const std::vector<cds::CdsOption>& options,
+void CpuEngine::price_chunk(std::span<const cds::CdsOption> options,
                             std::size_t begin, std::size_t end,
                             PricingRun& run, Scratch& scratch) const {
   const std::size_t n = end - begin;
@@ -82,7 +82,7 @@ void CpuEngine::price_chunk(const std::vector<cds::CdsOption>& options,
     const std::size_t buckets = run.ladder_buckets;
     if (batch_) {
       batch_pricer_->price_with_sensitivities(
-          std::span<const cds::CdsOption>(options).subspan(begin, n),
+          options.subspan(begin, n),
           std::span<cds::Sensitivities>(run.sensitivities).subspan(begin, n),
           std::span<double>(run.cs01_ladder)
               .subspan(begin * buckets, n * buckets),
@@ -110,7 +110,7 @@ void CpuEngine::price_chunk(const std::vector<cds::CdsOption>& options,
   }
   if (batch_) {
     batch_pricer_->price(
-        std::span<const cds::CdsOption>(options).subspan(begin, n),
+        options.subspan(begin, n),
         std::span<cds::SpreadResult>(run.results).subspan(begin, n),
         scratch.batch);
     return;
@@ -121,7 +121,7 @@ void CpuEngine::price_chunk(const std::vector<cds::CdsOption>& options,
   }
 }
 
-PricingRun CpuEngine::price(const std::vector<cds::CdsOption>& options) {
+PricingRun CpuEngine::price(std::span<const cds::CdsOption> options) {
   CDSFLOW_EXPECT(!options.empty(), "price() requires options");
   PricingRun run;
   run.results.resize(options.size());

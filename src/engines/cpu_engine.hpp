@@ -88,7 +88,7 @@ class CpuEngine final : public Engine {
   std::string name() const override;
   std::string description() const override;
 
-  PricingRun price(const std::vector<cds::CdsOption>& options) override;
+  PricingRun price(std::span<const cds::CdsOption> options) override;
 
   unsigned threads() const { return threads_; }
   bool batch_kernel() const { return batch_; }
@@ -115,7 +115,7 @@ class CpuEngine final : public Engine {
   /// mode, run.sensitivities / run.cs01_ladder) with the configured kernel.
   /// The single shared loop body behind the serial, OpenMP and std::thread
   /// paths.
-  void price_chunk(const std::vector<cds::CdsOption>& options,
+  void price_chunk(std::span<const cds::CdsOption> options,
                    std::size_t begin, std::size_t end, PricingRun& run,
                    Scratch& scratch) const;
 

@@ -16,7 +16,7 @@ DataflowEngine::DataflowEngine(cds::TermStructure interest,
   hazard_.validate();
 }
 
-PricingRun DataflowEngine::price(const std::vector<cds::CdsOption>& options) {
+PricingRun DataflowEngine::price(std::span<const cds::CdsOption> options) {
   CDSFLOW_EXPECT(!options.empty(), "price() requires options");
   PricingRun run;
   run.results.reserve(options.size());
@@ -34,7 +34,7 @@ PricingRun DataflowEngine::price(const std::vector<cds::CdsOption>& options) {
   const auto region = runner.run(options.size(), [&](std::uint64_t i) {
     sim::Simulation sim;
     const auto handles = build_cds_dataflow_graph(
-        sim, interest_, hazard_, std::span(&options[i], 1), cfg,
+        sim, interest_, hazard_, options.subspan(i, 1), cfg,
         GraphVariant::kOptimised);
     const auto sim_result = sim.run();
     const auto& spreads = handles.sink->collected();

@@ -25,7 +25,7 @@ class DataflowEngine final : public Engine {
            "option)";
   }
 
-  PricingRun price(const std::vector<cds::CdsOption>& options) override;
+  PricingRun price(std::span<const cds::CdsOption> options) override;
 
  private:
   cds::TermStructure interest_;

@@ -24,10 +24,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
-
-#include <functional>
 
 #include "cds/risk.hpp"
 #include "cds/types.hpp"
@@ -113,8 +113,10 @@ class Engine {
   /// One-line description as used in the report tables.
   virtual std::string description() const = 0;
   /// Prices the portfolio. Thread-compatible: no shared mutable state
-  /// between calls on distinct engine objects.
-  virtual PricingRun price(const std::vector<cds::CdsOption>& options) = 0;
+  /// between calls on distinct engine objects. `options` is only borrowed
+  /// for the call (callers pass subspans of a larger book): an engine must
+  /// not keep the span, or any pointer into it, once price() returns.
+  virtual PricingRun price(std::span<const cds::CdsOption> options) = 0;
 };
 
 /// Bytes moved host->card / card->host for a batch (512-bit-packed layout):

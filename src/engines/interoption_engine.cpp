@@ -15,15 +15,13 @@ InterOptionEngine::InterOptionEngine(cds::TermStructure interest,
   hazard_.validate();
 }
 
-PricingRun InterOptionEngine::price(
-    const std::vector<cds::CdsOption>& options) {
+PricingRun InterOptionEngine::price(std::span<const cds::CdsOption> options) {
   CDSFLOW_EXPECT(!options.empty(), "price() requires options");
   PricingRun run;
 
   sim::Simulation sim;
   const auto handles = build_cds_dataflow_graph(
-      sim, interest_, hazard_, std::span(options.data(), options.size()),
-      config_, GraphVariant::kOptimised);
+      sim, interest_, hazard_, options, config_, GraphVariant::kOptimised);
   const auto sim_result = sim.run();
   run.results = handles.sink->collected();
   CDSFLOW_ASSERT(run.results.size() == options.size(),

@@ -26,7 +26,7 @@ class InterOptionEngine final : public Engine {
            "restarts)";
   }
 
-  PricingRun price(const std::vector<cds::CdsOption>& options) override;
+  PricingRun price(std::span<const cds::CdsOption> options) override;
 
   /// Graph handles of the most recent run (stall counters, stage busy
   /// cycles) -- valid only until the next price() call. The simulation

@@ -50,7 +50,7 @@ std::string MultiEngine::description() const {
          " engine(s), options split in chunks";
 }
 
-PricingRun MultiEngine::price(const std::vector<cds::CdsOption>& options) {
+PricingRun MultiEngine::price(std::span<const cds::CdsOption> options) {
   CDSFLOW_EXPECT(!options.empty(), "price() requires options");
   const unsigned n = config_.n_engines;
   const std::size_t count = options.size();
@@ -74,9 +74,7 @@ PricingRun MultiEngine::price(const std::vector<cds::CdsOption>& options) {
   std::size_t begin = 0;
   for (unsigned e = 0; e < n; ++e) {
     const std::size_t len = base + (e < extra ? 1 : 0);
-    const std::vector<cds::CdsOption> chunk(
-        options.begin() + static_cast<std::ptrdiff_t>(begin),
-        options.begin() + static_cast<std::ptrdiff_t>(begin + len));
+    const auto chunk = options.subspan(begin, len);
     begin += len;
 
     PricingRun chunk_run;

@@ -43,7 +43,7 @@ class MultiEngine final : public Engine {
   std::string name() const override;
   std::string description() const override;
 
-  PricingRun price(const std::vector<cds::CdsOption>& options) override;
+  PricingRun price(std::span<const cds::CdsOption> options) override;
 
   unsigned n_engines() const { return config_.n_engines; }
 

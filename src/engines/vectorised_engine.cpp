@@ -22,15 +22,13 @@ std::string VectorisedEngine::description() const {
          " round-robin hazard/interp lanes, free-running)";
 }
 
-PricingRun VectorisedEngine::price(
-    const std::vector<cds::CdsOption>& options) {
+PricingRun VectorisedEngine::price(std::span<const cds::CdsOption> options) {
   CDSFLOW_EXPECT(!options.empty(), "price() requires options");
   PricingRun run;
 
   sim::Simulation sim;
   const auto handles = build_cds_dataflow_graph(
-      sim, interest_, hazard_, std::span(options.data(), options.size()),
-      config_, GraphVariant::kVectorised);
+      sim, interest_, hazard_, options, config_, GraphVariant::kVectorised);
   const auto sim_result = sim.run();
   run.results = handles.sink->collected();
   CDSFLOW_ASSERT(run.results.size() == options.size(),

@@ -26,7 +26,7 @@ class VectorisedEngine final : public Engine {
   std::string name() const override { return "vectorised"; }
   std::string description() const override;
 
-  PricingRun price(const std::vector<cds::CdsOption>& options) override;
+  PricingRun price(std::span<const cds::CdsOption> options) override;
 
   /// Per-lane busy cycles from the most recent run (Fig. 3 bench).
   struct LaneStats {

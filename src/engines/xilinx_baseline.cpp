@@ -58,8 +58,7 @@ XilinxBaselineEngine::option_stage_spans(const cds::CdsOption& option) const {
   return spans;
 }
 
-PricingRun XilinxBaselineEngine::price(
-    const std::vector<cds::CdsOption>& options) {
+PricingRun XilinxBaselineEngine::price(std::span<const cds::CdsOption> options) {
   CDSFLOW_EXPECT(!options.empty(), "price() requires options");
   PricingRun run;
   run.results.reserve(options.size());

@@ -33,7 +33,7 @@ class XilinxBaselineEngine final : public Engine {
            "accumulation, restart per option)";
   }
 
-  PricingRun price(const std::vector<cds::CdsOption>& options) override;
+  PricingRun price(std::span<const cds::CdsOption> options) override;
 
   /// Cycle cost of one option under the sequential-loop model (exposed for
   /// tests and the Fig. 1 bench).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -239,7 +240,7 @@ std::vector<std::uint8_t> encode_node_info(std::uint32_t request,
 }
 
 std::vector<std::uint8_t> encode_shard_price(
-    std::uint32_t shard, const std::vector<cds::CdsOption>& options,
+    std::uint32_t shard, std::span<const cds::CdsOption> options,
     bool risk) {
   CDSFLOW_EXPECT(!options.empty(), "shard price needs at least one option");
   CDSFLOW_EXPECT(options.size() <= kMaxOptionsPerRequest,
@@ -295,6 +296,31 @@ std::vector<std::uint8_t> encode_shard_result(
     }
   }
   return out;
+}
+
+std::string clip_reject_detail(std::string detail) {
+  if (detail.size() > kMaxRejectDetailBytes) {
+    detail.resize(kMaxRejectDetailBytes);
+  }
+  return detail;
+}
+
+std::optional<std::string> option_reject_detail(
+    std::span<const cds::CdsOption> options) {
+  for (const auto& option : options) {
+    if (!std::isfinite(option.maturity_years) ||
+        !std::isfinite(option.payment_frequency) ||
+        !std::isfinite(option.recovery_rate)) {
+      return "option " + std::to_string(option.id) +
+             " carries a non-finite field";
+    }
+    try {
+      option.validate();
+    } catch (const Error& e) {
+      return clip_reject_detail(e.what());
+    }
+  }
+  return std::nullopt;
 }
 
 std::size_t shard_price_frame_bytes(std::size_t n_options) {

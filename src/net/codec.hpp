@@ -53,15 +53,17 @@
 /// behind it can be trusted, so the connection must be torn down (the
 /// server sends a kMalformed reject first).
 ///
-/// The codec is structural only: it checks shape and bounds, not pricing
+/// The decoder is structural only: it checks shape and bounds, not pricing
 /// semantics (option ranges, finite doubles, known tenants) -- those are
 /// service-layer admission/validation concerns (src/service/service.hpp)
-/// and cluster-worker concerns (src/cluster/worker.hpp).
+/// and cluster-worker concerns (src/cluster/worker.hpp). The option check
+/// both of those front doors run is option_reject_detail() below.
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -181,7 +183,7 @@ std::vector<std::uint8_t> encode_node_info(std::uint32_t request,
                                            double setup_seconds, double watts,
                                            const std::string& engine_name);
 std::vector<std::uint8_t> encode_shard_price(
-    std::uint32_t shard, const std::vector<cds::CdsOption>& options,
+    std::uint32_t shard, std::span<const cds::CdsOption> options,
     bool risk = false);
 std::vector<std::uint8_t> encode_shard_result(
     std::uint32_t shard, double engine_seconds,
@@ -193,6 +195,18 @@ std::vector<std::uint8_t> encode_shard_result(
 /// model charges (engines/planner.hpp, ClusterLinkModel).
 std::size_t shard_price_frame_bytes(std::size_t n_options);
 std::size_t shard_result_frame_bytes(std::size_t n_options, bool risk);
+
+/// `detail` cut to kMaxRejectDetailBytes, the bound encode_reject() enforces.
+std::string clip_reject_detail(std::string detail);
+
+/// The semantic check of decoded options shared by the pricing service and
+/// the cluster worker: nullopt when every option can be priced, else the
+/// kMalformed reject detail (clipped) naming the first bad one. Finiteness
+/// is checked explicitly -- NaN/Inf doubles are encodable bit patterns, and
+/// an infinite maturity passes CdsOption::validate() -- then the ranges via
+/// CdsOption::validate().
+std::optional<std::string> option_reject_detail(
+    std::span<const cds::CdsOption> options);
 
 /// Incremental frame decoder for one connection's byte stream.
 ///

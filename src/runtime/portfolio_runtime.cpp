@@ -1,49 +1,20 @@
 #include "runtime/portfolio_runtime.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
 #include "engines/registry.hpp"
-#include "runtime/replica_pool.hpp"
 #include "runtime/shard.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace cdsflow::runtime {
-
-namespace {
-
-/// Deterministic list schedule: shards in submission order, each onto the
-/// earliest-free lane (list_schedule_makespan, shared with the streaming
-/// runtime). Returns the makespan and writes lane assignments.
-double schedule_lanes(std::vector<ShardOutcome>& shards, unsigned lanes) {
-  std::vector<double> task_seconds;
-  task_seconds.reserve(shards.size());
-  for (const auto& shard : shards) task_seconds.push_back(shard.engine_seconds);
-  std::vector<unsigned> lane_of;
-  const double makespan = list_schedule_makespan(task_seconds, lanes, &lane_of);
-  for (std::size_t i = 0; i < shards.size(); ++i) shards[i].lane = lane_of[i];
-  return makespan;
-}
-
-}  // namespace
 
 PortfolioRuntime::PortfolioRuntime(cds::TermStructure interest,
                                    cds::TermStructure hazard,
                                    RuntimeConfig config)
-    : config_(std::move(config)) {
-  unsigned workers = config_.workers;
-  if (workers == 0) {
-    workers = std::max(1u, std::thread::hardware_concurrency());
-  }
-  lanes_ = config_.engine_replicas == 0
-               ? workers
-               : std::min(workers, config_.engine_replicas);
-  CDSFLOW_EXPECT(lanes_ > 0, "runtime needs at least one lane");
-  engines_.reserve(lanes_);
-  for (unsigned i = 0; i < lanes_; ++i) {
+    : config_(std::move(config)),
+      runner_(config_.workers, config_.engine_replicas) {
+  engines_.reserve(runner_.lanes());
+  for (unsigned i = 0; i < runner_.lanes(); ++i) {
     engines_.push_back(engine::make_engine(config_.engine, interest, hazard,
                                            config_.fpga, config_.cpu));
   }
@@ -55,41 +26,22 @@ std::string PortfolioRuntime::worker_description() const {
   return engines_.front()->description();
 }
 
-RuntimeRun PortfolioRuntime::price(const std::vector<cds::CdsOption>& options) {
+RuntimeRun PortfolioRuntime::price(std::span<const cds::CdsOption> options) {
   RuntimeRun out;
-  out.lanes = lanes_;
+  out.lanes = runner_.lanes();
   out.shard_size = config_.shard_size != 0
                        ? config_.shard_size
-                       : auto_shard_size(options.size(), lanes_);
+                       : auto_shard_size(options.size(), out.lanes);
   if (options.empty()) return out;
 
   const auto plan = plan_shards(options.size(), out.shard_size);
   std::vector<engine::PricingRun> shard_runs(plan.size());
-
-  const auto t0 = std::chrono::steady_clock::now();
-  if (lanes_ == 1) {
-    for (const auto& shard : plan) {
-      const std::vector<cds::CdsOption> slice(options.begin() + shard.begin,
-                                              options.begin() + shard.end);
-      shard_runs[shard.index] = engines_.front()->price(slice);
-    }
-  } else {
-    ReplicaPool engine_pool(engines_.size());
-    ThreadPool pool(lanes_);
-    std::vector<std::future<void>> pending;
-    pending.reserve(plan.size());
-    for (const auto& shard : plan) {
-      pending.push_back(pool.submit([this, &engine_pool, &options, &shard,
-                                     &shard_runs] {
-        const ReplicaPool::Lease engine(engine_pool);
-        const std::vector<cds::CdsOption> slice(
-            options.begin() + shard.begin, options.begin() + shard.end);
-        shard_runs[shard.index] = engines_[engine.index()]->price(slice);
-      }));
-    }
-    for (auto& f : pending) f.get();  // rethrows the first shard failure
-  }
-  const auto t1 = std::chrono::steady_clock::now();
+  const ShardSchedule schedule =
+      runner_.run(plan, [&](const Shard& shard, unsigned lane) {
+        auto& run = shard_runs[shard.index];
+        run = engines_[lane]->price(options.subspan(shard.begin, shard.size()));
+        return run.total_seconds;
+      });
 
   // Deterministic merge in shard (= submission) order. Risk-mode engines
   // carry sensitivities and ladder rows next to the spreads; concatenating
@@ -99,40 +51,23 @@ RuntimeRun PortfolioRuntime::price(const std::vector<cds::CdsOption>& options) {
   out.shards.reserve(plan.size());
   for (const auto& shard : plan) {
     const auto& run = shard_runs[shard.index];
-    CDSFLOW_ASSERT(run.results.size() == shard.size(),
-                   "shard result count mismatch");
-    out.run.results.insert(out.run.results.end(), run.results.begin(),
-                           run.results.end());
-    if (!run.sensitivities.empty()) {
-      CDSFLOW_ASSERT(run.sensitivities.size() == shard.size(),
-                     "shard sensitivity count mismatch");
-      out.run.sensitivities.insert(out.run.sensitivities.end(),
-                                   run.sensitivities.begin(),
-                                   run.sensitivities.end());
-      CDSFLOW_ASSERT(run.cs01_ladder.size() ==
-                         shard.size() * run.ladder_buckets,
-                     "shard ladder size mismatch");
-      out.run.ladder_buckets = run.ladder_buckets;
-      out.run.cs01_ladder.insert(out.run.cs01_ladder.end(),
-                                 run.cs01_ladder.begin(),
-                                 run.cs01_ladder.end());
-    }
+    append_shard_rows(shard, run, out.run);
     out.run.kernel_cycles += run.kernel_cycles;
     out.run.kernel_seconds += run.kernel_seconds;
     out.run.transfer_seconds += run.transfer_seconds;
     out.run.invocations += run.invocations;
     out.shards.push_back({shard.index, shard.begin, shard.end,
                           run.total_seconds, run.kernel_cycles,
-                          run.invocations, /*lane=*/0});
+                          run.invocations, schedule.lane[shard.index]});
   }
 
-  out.run.total_seconds = schedule_lanes(out.shards, lanes_);
+  out.run.total_seconds = schedule.makespan_seconds;
   CDSFLOW_ASSERT(out.run.total_seconds > 0.0,
                  "merged run must take non-zero time");
   out.run.options_per_second =
       static_cast<double>(options.size()) / out.run.total_seconds;
 
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  out.wall_seconds = schedule.wall_seconds;
   if (out.wall_seconds > 0.0) {
     out.wall_options_per_second =
         static_cast<double>(options.size()) / out.wall_seconds;

@@ -6,9 +6,12 @@
 /// running several concurrently on one card ("splitting the entire set up
 /// into N chunks", Sec. IV / Table II). This runtime applies the same recipe
 /// on the host: N engine replicas (any registry engine -- cpu, dataflow,
-/// vectorised, multi-*, cluster-*), a thread pool driving them, and a
-/// deterministic merge of the per-shard PricingRuns back into submission
-/// order.
+/// vectorised, multi-*, cluster-*), one per lane of a ShardRunner
+/// (shard_runner.hpp: replica k belongs to lane k; a multi-lane runtime
+/// keeps its worker threads from its first price() call until it is
+/// destroyed), and a deterministic merge of the per-shard PricingRuns back
+/// into submission order. Each shard is a subspan of the caller's book, not
+/// a copy.
 ///
 /// Determinism guarantee: shards are contiguous slices of the book, each
 /// shard is priced whole by one engine replica, and the merge concatenates
@@ -38,12 +41,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cds/curve.hpp"
 #include "engines/cpu_engine.hpp"
 #include "engines/engine.hpp"
+#include "runtime/shard_runner.hpp"
 
 namespace cdsflow::runtime {
 
@@ -114,17 +119,22 @@ class PortfolioRuntime {
   PortfolioRuntime& operator=(const PortfolioRuntime&) = delete;
 
   /// Prices the book. An empty book returns an empty run (all metrics 0).
-  RuntimeRun price(const std::vector<cds::CdsOption>& options);
+  /// Throws the first failing shard's exception (in shard order) once every
+  /// shard of the call has returned; the runtime stays usable afterwards.
+  /// Single-caller: the engine replicas belong to this object, so at most
+  /// one price() call may run on it at a time.
+  RuntimeRun price(std::span<const cds::CdsOption> options);
 
-  unsigned lanes() const { return lanes_; }
+  unsigned lanes() const { return runner_.lanes(); }
   const RuntimeConfig& config() const { return config_; }
   /// Description of one engine replica, e.g. for reports.
   std::string worker_description() const;
 
  private:
   RuntimeConfig config_;
-  unsigned lanes_;
   std::vector<std::unique_ptr<engine::Engine>> engines_;
+  /// Declared after the replicas its workers use, so it joins them first.
+  ShardRunner runner_;
 };
 
 }  // namespace cdsflow::runtime

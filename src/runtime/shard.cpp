@@ -68,4 +68,23 @@ double list_schedule_makespan(std::span<const double> task_seconds,
   return makespan;
 }
 
+void append_shard_rows(const Shard& shard, const engine::PricingRun& part,
+                       engine::PricingRun& merged) {
+  CDSFLOW_ASSERT(part.results.size() == shard.size(),
+                 "shard result count mismatch");
+  merged.results.insert(merged.results.end(), part.results.begin(),
+                        part.results.end());
+  if (part.sensitivities.empty()) return;
+  CDSFLOW_ASSERT(part.sensitivities.size() == shard.size(),
+                 "shard sensitivity count mismatch");
+  merged.sensitivities.insert(merged.sensitivities.end(),
+                              part.sensitivities.begin(),
+                              part.sensitivities.end());
+  CDSFLOW_ASSERT(part.cs01_ladder.size() == shard.size() * part.ladder_buckets,
+                 "shard ladder size mismatch");
+  merged.ladder_buckets = part.ladder_buckets;
+  merged.cs01_ladder.insert(merged.cs01_ladder.end(), part.cs01_ladder.begin(),
+                            part.cs01_ladder.end());
+}
+
 }  // namespace cdsflow::runtime

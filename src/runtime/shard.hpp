@@ -14,6 +14,8 @@
 #include <span>
 #include <vector>
 
+#include "engines/engine.hpp"
+
 namespace cdsflow::runtime {
 
 /// One contiguous slice [begin, end) of the submitted portfolio.
@@ -56,5 +58,12 @@ std::size_t setup_aware_shard_size(std::size_t n_options, unsigned workers,
 double list_schedule_makespan(std::span<const double> task_seconds,
                               unsigned lanes,
                               std::vector<unsigned>* lane_of = nullptr);
+
+/// Appends `part`, the run of `shard`, to `merged`: its spreads and, when it
+/// carries them, its sensitivities and CS01-ladder rows. Asserts one row per
+/// option of the shard. Called in shard order, this is the deterministic
+/// merge of both the batch runtime and the cluster coordinator.
+void append_shard_rows(const Shard& shard, const engine::PricingRun& part,
+                       engine::PricingRun& merged);
 
 }  // namespace cdsflow::runtime

@@ -96,7 +96,6 @@ StreamRuntime::StreamRuntime(cds::TermStructure interest,
     pricers_.push_back(std::make_unique<cds::StreamPricer>(interest, hazard,
                                                            pricer_config_));
   }
-  replicas_ = std::make_unique<ReplicaPool>(lanes_);
   pool_ = std::make_unique<ThreadPool>(lanes_);
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
@@ -138,14 +137,13 @@ void StreamRuntime::submit_batch(std::vector<QuoteEvent> events) {
   const std::size_t index = next_batch_index_++;
   // shared_ptr because ThreadPool tasks are std::function (copyable).
   auto batch = std::make_shared<std::vector<QuoteEvent>>(std::move(events));
-  in_flight_.push_back(pool_->submit([this, index, batch] {
-    const ReplicaPool::Lease lane(*replicas_);
-    cds::StreamPricer& pricer = *pricers_[lane.index()];
+  in_flight_.push_back(pool_->submit([this, index, batch](unsigned lane) {
+    cds::StreamPricer& pricer = *pricers_[lane];
     const std::size_t n = batch->size();
 
     stream_detail::BatchResult out;
     out.index = index;
-    out.lane = static_cast<unsigned>(lane.index());
+    out.lane = lane;
     std::vector<cds::CdsOption> options;
     options.reserve(n);
     for (const QuoteEvent& event : *batch) options.push_back(event.option);

@@ -5,9 +5,10 @@
 ///
 /// This is the paper's AAT-style real-time future-work scenario built on the
 /// pieces the batch runtime already proved out: the same ThreadPool drives
-/// the lanes, the same ReplicaPool hands each in-flight micro-batch an
-/// exclusive pricer replica, and the same list-schedule gives the modelled
-/// (paper-style) throughput figure next to the measured wall figure.
+/// the lanes, each in-flight micro-batch prices on the replica of the pool
+/// worker running it (replica k belongs to worker k), and the same
+/// list-schedule gives the modelled (paper-style) throughput figure next to
+/// the measured wall figure.
 ///
 /// Dataflow:
 ///
@@ -64,7 +65,6 @@
 #include "common/thread_annotations.hpp"
 #include "engines/engine.hpp"
 #include "runtime/ingest_queue.hpp"
-#include "runtime/replica_pool.hpp"
 #include "runtime/thread_pool.hpp"
 #include "workload/feed.hpp"
 
@@ -235,7 +235,6 @@ class StreamRuntime {
 
   std::vector<std::unique_ptr<cds::StreamPricer>> pricers_;
   IngestQueue queue_;
-  std::unique_ptr<ReplicaPool> replicas_;
   std::unique_ptr<ThreadPool> pool_;
   stream_detail::BatchCollector collector_;
 

@@ -1,14 +1,8 @@
 #include "runtime/sweep_runtime.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <thread>
-#include <utility>
 
-#include "common/error.hpp"
-#include "runtime/replica_pool.hpp"
 #include "runtime/shard.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace cdsflow::runtime {
 
@@ -16,81 +10,54 @@ SweepRuntime::SweepRuntime(cds::TermStructure interest,
                            cds::TermStructure hazard,
                            std::span<const cds::CdsOption> options,
                            SweepRuntimeConfig config)
-    : config_(config) {
-  lanes_ = config_.workers != 0
-               ? config_.workers
-               : std::max(1u, std::thread::hardware_concurrency());
-  pricers_.reserve(lanes_);
-  for (unsigned i = 0; i < lanes_; ++i) {
+    : config_(config), runner_(config_.workers) {
+  pricers_.reserve(runner_.lanes());
+  for (unsigned i = 0; i < runner_.lanes(); ++i) {
     pricers_.emplace_back(interest, hazard, options, config_.level);
   }
 }
 
 SweepRun SweepRuntime::run(const cds::ScenarioMatrix& scenarios) {
   SweepRun out;
-  out.lanes = lanes_;
+  out.lanes = runner_.lanes();
   out.shard_size = config_.shard_size != 0
                        ? config_.shard_size
-                       : auto_shard_size(scenarios.count, lanes_);
+                       : auto_shard_size(scenarios.count, out.lanes);
   if (scenarios.count == 0) return out;
 
   const auto plan = plan_shards(scenarios.count, out.shard_size);
   out.aggregates.resize(scenarios.count);
   std::vector<cds::SweepStats> shard_stats(plan.size());
-  std::vector<double> shard_seconds(plan.size(), 0.0);
 
   // Each shard writes a disjoint slice of `aggregates` (its own scenario
   // range), so the output is in submission order by construction and no
   // merge reordering is ever needed.
-  const auto run_shard = [&](const Shard& shard, cds::SweepPricer& pricer) {
-    const auto s0 = std::chrono::steady_clock::now();
-    shard_stats[shard.index] = pricer.sweep(
-        scenarios, shard.begin, shard.end,
-        std::span<cds::ScenarioAggregate>(out.aggregates)
-            .subspan(shard.begin, shard.size()));
-    shard_seconds[shard.index] =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - s0)
+  const ShardSchedule schedule =
+      runner_.run(plan, [&](const Shard& shard, unsigned lane) {
+        const auto s0 = std::chrono::steady_clock::now();
+        shard_stats[shard.index] = pricers_[lane].sweep(
+            scenarios, shard.begin, shard.end,
+            std::span<cds::ScenarioAggregate>(out.aggregates)
+                .subspan(shard.begin, shard.size()));
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - s0)
             .count();
-  };
-
-  const auto t0 = std::chrono::steady_clock::now();
-  if (lanes_ == 1) {
-    for (const auto& shard : plan) run_shard(shard, pricers_.front());
-  } else {
-    ReplicaPool replica_pool(pricers_.size());
-    ThreadPool pool(lanes_);
-    std::vector<std::future<void>> pending;
-    pending.reserve(plan.size());
-    for (const auto& shard : plan) {
-      pending.push_back(pool.submit([this, &replica_pool, &run_shard, &shard] {
-        const ReplicaPool::Lease lease(replica_pool);
-        run_shard(shard, pricers_[lease.index()]);
-      }));
-    }
-    for (auto& f : pending) f.get();  // rethrows the first shard failure
-  }
-  const auto t1 = std::chrono::steady_clock::now();
+      });
 
   // Stats and accounting merge in shard (= submission) order.
   out.shards.reserve(plan.size());
-  std::vector<double> task_seconds;
-  task_seconds.reserve(plan.size());
   for (const auto& shard : plan) {
     out.stats.merge(shard_stats[shard.index]);
     out.shards.push_back({shard.index, shard.begin, shard.end,
-                          shard_seconds[shard.index], /*lane=*/0});
-    task_seconds.push_back(shard_seconds[shard.index]);
+                          schedule.seconds[shard.index],
+                          schedule.lane[shard.index]});
   }
-  std::vector<unsigned> lane_of;
-  out.modelled_seconds = list_schedule_makespan(task_seconds, lanes_, &lane_of);
-  for (std::size_t i = 0; i < out.shards.size(); ++i) {
-    out.shards[i].lane = lane_of[i];
-  }
+  out.modelled_seconds = schedule.makespan_seconds;
   if (out.modelled_seconds > 0.0) {
     out.modelled_scenarios_per_second =
         static_cast<double>(scenarios.count) / out.modelled_seconds;
   }
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  out.wall_seconds = schedule.wall_seconds;
   if (out.wall_seconds > 0.0) {
     out.wall_scenarios_per_second =
         static_cast<double>(scenarios.count) / out.wall_seconds;

@@ -3,7 +3,9 @@
 /// pool of SweepPricer replicas.
 ///
 /// The batch runtime shards the *options* axis; the sweep runtime shards
-/// the *scenario* axis with the identical recipe and the identical
+/// the *scenario* axis with the identical recipe, the same ShardRunner
+/// (one replica per lane; a multi-lane runtime keeps its worker threads from
+/// its first run() call until it is destroyed) and the identical
 /// determinism contract: shards are contiguous scenario ranges, each range
 /// is swept whole by one replica, and per-shard outputs land in disjoint
 /// slices of one aggregate array -- submission order by construction,
@@ -27,6 +29,7 @@
 #include "cds/curve.hpp"
 #include "cds/sweep_pricer.hpp"
 #include "cds/types.hpp"
+#include "runtime/shard_runner.hpp"
 
 namespace cdsflow::runtime {
 
@@ -80,15 +83,18 @@ class SweepRuntime {
   SweepRuntime& operator=(const SweepRuntime&) = delete;
 
   /// Sweeps the whole scenario set. An empty set returns an empty run.
+  /// Throws the first failing shard's exception (in shard order) once every
+  /// shard has returned. Single-caller, like PortfolioRuntime::price().
   SweepRun run(const cds::ScenarioMatrix& scenarios);
 
-  unsigned lanes() const { return lanes_; }
+  unsigned lanes() const { return runner_.lanes(); }
   const SweepRuntimeConfig& config() const { return config_; }
 
  private:
   SweepRuntimeConfig config_;
-  unsigned lanes_;
   std::vector<cds::SweepPricer> pricers_;
+  /// Declared after the replicas its workers use, so it joins them first.
+  ShardRunner runner_;
 };
 
 }  // namespace cdsflow::runtime

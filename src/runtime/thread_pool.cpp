@@ -8,7 +8,7 @@ ThreadPool::ThreadPool(unsigned workers) {
   CDSFLOW_EXPECT(workers > 0, "thread pool needs at least one worker");
   threads_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
+    threads_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
@@ -26,8 +26,8 @@ void ThreadPool::stop() {
   joined_ = true;
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
+std::future<void> ThreadPool::submit(std::function<void(unsigned)> task) {
+  std::packaged_task<void(unsigned)> packaged(std::move(task));
   auto future = packaged.get_future();
   {
     MutexLock lock(mutex_);
@@ -43,9 +43,9 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(unsigned worker) {
   for (;;) {
-    std::packaged_task<void()> task;
+    std::packaged_task<void(unsigned)> task;
     {
       UniqueLock lock(mutex_);
       wake_.wait(lock.native(),
@@ -56,7 +56,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();  // exceptions land in the matching future
+    task(worker);  // exceptions land in the matching future
   }
 }
 

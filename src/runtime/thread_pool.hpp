@@ -4,8 +4,13 @@
 /// Deliberately minimal: FIFO task queue, std::future-based completion, no
 /// work stealing. The runtimes submit one task per shard / micro-batch;
 /// fairness and load balance come from oversubscription (see shard.hpp), not
-/// from the pool. Kept as its own component so the batch runtime, the
-/// streaming ingest runtime and future request servers all share it.
+/// from the pool. Kept as its own component so the batch, sweep and
+/// streaming runtimes all share it.
+///
+/// Every task is told the index of the worker running it, in [0, size()).
+/// A worker runs one task at a time, so per-worker state indexed by it
+/// (the runtimes' engine / pricer replicas: replica k belongs to worker k)
+/// is never touched by two tasks at once and needs no lock.
 ///
 /// Shutdown contract:
 ///   * stop() (also run by the destructor) closes the submission window,
@@ -50,10 +55,11 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(threads_.size()); }
 
-  /// Enqueues a task; the future resolves when it has run (or carries the
-  /// exception it threw). Throws cdsflow::Error once stop() has begun (see
-  /// the shutdown contract above).
-  std::future<void> submit(std::function<void()> task)
+  /// Enqueues a task; it is called with the running worker's index and the
+  /// future resolves when it has run (or carries the exception it threw).
+  /// Throws cdsflow::Error once stop() has begun (see the shutdown contract
+  /// above).
+  std::future<void> submit(std::function<void(unsigned worker)> task)
       CDSFLOW_EXCLUDES(mutex_);
 
   /// Closes the submission window, drains the queued tasks and joins the
@@ -61,13 +67,14 @@ class ThreadPool {
   void stop() CDSFLOW_EXCLUDES(stop_mutex_, mutex_);
 
  private:
-  void worker_loop() CDSFLOW_EXCLUDES(mutex_);
+  void worker_loop(unsigned worker) CDSFLOW_EXCLUDES(mutex_);
 
   /// Lock order: stop_mutex_ before mutex_ (stop() takes both; nothing
   /// else touches stop_mutex_). See docs/CONCURRENCY.md.
   Mutex mutex_ CDSFLOW_ACQUIRED_AFTER(stop_mutex_);
   std::condition_variable wake_;
-  std::deque<std::packaged_task<void()>> queue_ CDSFLOW_GUARDED_BY(mutex_);
+  std::deque<std::packaged_task<void(unsigned)>> queue_
+      CDSFLOW_GUARDED_BY(mutex_);
   bool stopping_ CDSFLOW_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> threads_;
 

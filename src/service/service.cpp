@@ -1,46 +1,11 @@
 #include "service/service.hpp"
 
-#include <cmath>
 #include <iterator>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace cdsflow::service {
-
-namespace {
-
-/// Semantic option validation (the codec checked shape only): ranges via
-/// CdsOption::validate(), finiteness explicitly -- NaN/Inf doubles are
-/// perfectly encodable bit patterns.
-bool validate_options(const std::vector<cds::CdsOption>& options,
-                      std::string* error) {
-  for (const auto& option : options) {
-    if (!std::isfinite(option.maturity_years) ||
-        !std::isfinite(option.payment_frequency) ||
-        !std::isfinite(option.recovery_rate)) {
-      *error = "option " + std::to_string(option.id) +
-               " carries a non-finite field";
-      return false;
-    }
-    try {
-      option.validate();
-    } catch (const Error& e) {
-      *error = e.what();
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string clip_detail(std::string detail) {
-  if (detail.size() > net::kMaxRejectDetailBytes) {
-    detail.resize(net::kMaxRejectDetailBytes);
-  }
-  return detail;
-}
-
-}  // namespace
 
 PricingService::PricingService(ServiceConfig config,
                                const cds::TermStructure& interest,
@@ -90,7 +55,8 @@ void PricingService::send_reject(net::Server& server, int conn,
       break;  // counted as shed where the decision is made
   }
   server.send(conn, net::encode_reject(tenant, request, reason,
-                                       clip_detail(std::move(detail))));
+                                       net::clip_reject_detail(
+                                           std::move(detail))));
 }
 
 void PricingService::on_frame(net::Server& server, int conn,
@@ -132,10 +98,9 @@ void PricingService::on_frame(net::Server& server, int conn,
                                    : "tenant serves price requests");
         return;
       }
-      std::string error;
-      if (!validate_options(frame.options, &error)) {
+      if (auto error = net::option_reject_detail(frame.options)) {
         send_reject(server, conn, frame.tenant, frame.request,
-                    net::RejectReason::kMalformed, error);
+                    net::RejectReason::kMalformed, std::move(*error));
         return;
       }
       const AdmissionDecision decision = tenant->submit(
@@ -191,7 +156,7 @@ void PricingService::on_malformed(net::Server& server, int conn,
   // server tears the connection down.
   server.send(conn,
               net::encode_reject(0, 0, net::RejectReason::kMalformed,
-                                 clip_detail(error)));
+                                 net::clip_reject_detail(error)));
 }
 
 void PricingService::send_completed(

@@ -11,6 +11,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -354,6 +355,38 @@ TEST(ClusterRuntime, WrongModeWorkerRejectionIsFatalNotResubmitted) {
     EXPECT_NE(what.find("rejected a shard"), std::string::npos) << what;
     EXPECT_NE(what.find("wrong-mode"), std::string::npos) << what;
   }
+}
+
+TEST(ClusterRuntime, WorkerRejectsNonFiniteAndOutOfRangeShardOptions) {
+  InProcessWorker worker("cluster-bad", pinned_worker("cpu-batch", 1e6));
+  auto client = net::Client::connect_unix(worker.path);
+  auto book = test_book(4);
+
+  auto non_finite = book;
+  non_finite[2].recovery_rate = std::numeric_limits<double>::quiet_NaN();
+  client.send(net::encode_shard_price(0, non_finite));
+  auto reply = client.read_frame_for(5'000'000);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, net::FrameType::kReject);
+  EXPECT_EQ(reply->reason, net::RejectReason::kMalformed);
+  EXPECT_NE(reply->detail.find("non-finite"), std::string::npos)
+      << reply->detail;
+
+  auto out_of_range = book;
+  out_of_range[1].recovery_rate = 2.0;
+  client.send(net::encode_shard_price(1, out_of_range));
+  reply = client.read_frame_for(5'000'000);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, net::FrameType::kReject);
+  EXPECT_EQ(reply->reason, net::RejectReason::kMalformed);
+  EXPECT_EQ(reply->request, 1u);
+
+  // Both rejects left the connection up: a valid shard still prices.
+  client.send(net::encode_shard_price(2, book));
+  reply = client.read_frame_for(5'000'000);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, net::FrameType::kShardResult);
+  EXPECT_EQ(reply->results.size(), book.size());
 }
 
 TEST(ClusterRuntime, VersionMismatchedPeerIsRejectedAndPoisoned) {

@@ -1,19 +1,24 @@
 /// \file test_runtime.cpp
 /// The sharded portfolio runtime: shard planning, shard-boundary
 /// correctness (bit-identical to a single-engine run, including empty and
-/// one-option books), determinism across worker counts, and the modelled
-/// multi-lane scaling.
+/// one-option books), determinism across worker counts, the modelled
+/// multi-lane scaling, and failing shards on a multi-lane runtime.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "engines/registry.hpp"
 #include "runtime/portfolio_runtime.hpp"
 #include "runtime/shard.hpp"
+#include "runtime/shard_runner.hpp"
 #include "runtime/thread_pool.hpp"
 #include "workload/scenario.hpp"
 
@@ -80,9 +85,9 @@ TEST(ThreadPool, RunsAllTasksAndPropagatesExceptions) {
   std::atomic<int> counter{0};
   std::vector<std::future<void>> futures;
   for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
+    futures.push_back(pool.submit([&counter](unsigned) { ++counter; }));
   }
-  auto failing = pool.submit([] { throw Error("boom"); });
+  auto failing = pool.submit([](unsigned) { throw Error("boom"); });
   for (auto& f : futures) f.get();
   EXPECT_EQ(counter.load(), 20);
   EXPECT_THROW(failing.get(), Error);
@@ -93,7 +98,7 @@ TEST(ThreadPool, LateSubmitFailsFastAfterStop) {
   std::atomic<int> counter{0};
   std::vector<std::future<void>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
+    futures.push_back(pool.submit([&counter](unsigned) { ++counter; }));
   }
   pool.stop();
   // Everything accepted before stop ran to completion...
@@ -101,16 +106,69 @@ TEST(ThreadPool, LateSubmitFailsFastAfterStop) {
   EXPECT_EQ(counter.load(), 8);
   // ... and a submit racing (or trailing) the shutdown throws instead of
   // enqueueing a task no worker will ever run.
-  EXPECT_THROW(pool.submit([&counter] { ++counter; }), Error);
+  EXPECT_THROW(pool.submit([&counter](unsigned) { ++counter; }), Error);
   EXPECT_EQ(counter.load(), 8);
 }
 
 TEST(ThreadPool, StopIsIdempotent) {
   runtime::ThreadPool pool(2);
-  pool.submit([] {}).get();
+  pool.submit([](unsigned) {}).get();
   pool.stop();
   pool.stop();  // second stop (and the destructor's) must be a no-op
-  EXPECT_THROW(pool.submit([] {}), Error);
+  EXPECT_THROW(pool.submit([](unsigned) {}), Error);
+}
+
+TEST(ThreadPool, TasksSeeTheirWorkerIndex) {
+  runtime::ThreadPool pool(4);
+  std::atomic<int> out_of_range{0};
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back(pool.submit([&](unsigned worker) {
+      if (worker >= pool.size()) ++out_of_range;
+    }));
+  }
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(out_of_range.load(), 0);
+
+  // Tasks held at a latch at the same moment run on distinct workers, so
+  // each sees a distinct index.
+  std::latch all_running(4);
+  std::vector<unsigned> seen(4, 99);
+  futures.clear();
+  for (unsigned t = 0; t < 4; ++t) {
+    futures.push_back(pool.submit([&, t](unsigned worker) {
+      seen[t] = worker;
+      all_running.arrive_and_wait();
+    }));
+  }
+  for (auto& f : futures) f.get();
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<unsigned>{0, 1, 2, 3}));
+}
+
+TEST(ShardRunner, WaitsForEveryShardBeforeRethrowing) {
+  runtime::ShardRunner runner(4);
+  const auto plan = runtime::plan_shards(16, 1);
+  std::atomic<int> returned{0};
+  EXPECT_THROW(runner.run(plan,
+                          [&](const runtime::Shard& shard, unsigned) {
+                            if (shard.index == 5) throw Error("bad shard");
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(2));
+                            ++returned;
+                            return 1.0;
+                          }),
+               Error);
+  EXPECT_EQ(returned.load(), 15);
+
+  // The pool outlives the failed call and runs the next one.
+  const auto schedule = runner.run(
+      plan, [](const runtime::Shard&, unsigned lane) {
+        EXPECT_LT(lane, 4u);
+        return 1.0;
+      });
+  EXPECT_EQ(schedule.makespan_seconds, 4.0);
+  EXPECT_EQ(schedule.lane.size(), plan.size());
 }
 
 /// Bit-identical: sharded pricing must merge to exactly the bytes the
@@ -222,6 +280,37 @@ TEST(PortfolioRuntime, EngineReplicasCapConcurrency) {
   EXPECT_EQ(rt.lanes(), 2u);
   const auto run = rt.price(scenario.options);
   for (const auto& shard : run.shards) EXPECT_LT(shard.lane, 2u);
+}
+
+TEST(PortfolioRuntime, FailingShardThrowsAndTheRuntimeStaysUsable) {
+  const auto scenario = workload::smoke_scenario(128, 7);
+  // The simulated engines stream every option of a shard through the
+  // arrival-pace hook; counting calls shows which shards have run.
+  std::atomic<std::size_t> streamed{0};
+  runtime::RuntimeConfig cfg;
+  cfg.engine = "vectorised";
+  cfg.workers = 4;
+  cfg.shard_size = 8;  // 16 shards over 4 lanes
+  cfg.fpga.option_arrival_pace = [&streamed](const engine::OptionToken&) {
+    ++streamed;
+    return sim::Cycle{1};
+  };
+  runtime::PortfolioRuntime rt(scenario.interest, scenario.hazard, cfg);
+
+  // Shard 6 rejects its options before streaming any, while later shards
+  // are still queued: price() throws only once all 15 others have returned
+  // (else they would also write into the call's freed outputs).
+  auto bad = scenario.options;
+  bad[6 * 8 + 1].maturity_years = -1.0;
+  EXPECT_THROW(rt.price(bad), Error);
+  EXPECT_EQ(streamed.load(), 15u * 8);
+
+  cfg.workers = 1;
+  runtime::PortfolioRuntime single(scenario.interest, scenario.hazard, cfg);
+  const auto want = single.price(scenario.options);
+  const auto got = rt.price(scenario.options);
+  expect_identical(got.run.results, want.run.results);
+  EXPECT_EQ(got.lanes, 4u);
 }
 
 TEST(PortfolioRuntime, RejectsUnknownEngine) {

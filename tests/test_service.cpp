@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -121,9 +122,8 @@ struct ReplayOutcome {
   std::vector<cds::Sensitivities> greeks;
 };
 
-ReplayOutcome replay_over_socket(const std::string& path, std::uint32_t tenant,
+ReplayOutcome replay_over_socket(net::Client client, std::uint32_t tenant,
                                  const SlicedFeed& sliced, bool risk) {
-  net::Client client = net::Client::connect_unix(path);
   for (const auto& step : sliced.steps) {
     if (step.quote) {
       client.send(net::encode_quote_update(tenant, step.knot, step.rate));
@@ -205,13 +205,22 @@ TEST(ServiceLoopback, BitIdenticalToDirectRuntimeAcrossTenantsAndArrivalOrder) {
     service::PricingService pricing(config, test_interest(), test_hazard());
     std::thread loop([&] { server.run(pricing); });
 
+    // Every client connects before any replays: the idle stop would
+    // otherwise end the server when one client finishes before the next
+    // has connected.
+    std::vector<net::Client> connections;
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < tenant_ids.size(); ++i) {
+      order.push_back(pass == 0 ? i : tenant_ids.size() - 1 - i);
+      connections.push_back(net::Client::connect_unix(path));
+    }
     std::vector<ReplayOutcome> outcomes(tenant_ids.size());
     std::vector<std::thread> clients;
     for (std::size_t i = 0; i < tenant_ids.size(); ++i) {
-      const std::size_t at =
-          pass == 0 ? i : tenant_ids.size() - 1 - i;  // reversed second pass
-      clients.emplace_back([&, at] {
-        outcomes[at] = replay_over_socket(path, tenant_ids[at], feeds[at],
+      const std::size_t at = order[i];  // reversed second pass
+      clients.emplace_back([&, at, i] {
+        outcomes[at] = replay_over_socket(std::move(connections[i]),
+                                          tenant_ids[at], feeds[at],
                                           /*risk=*/false);
       });
     }
@@ -244,7 +253,8 @@ TEST(ServiceLoopback, RiskTenantResponsesBitIdenticalToDirectRuntime) {
   std::thread loop([&] { server.run(pricing); });
 
   const ReplayOutcome outcome =
-      replay_over_socket(path, tenant, sliced, /*risk=*/true);
+      replay_over_socket(net::Client::connect_unix(path), tenant, sliced,
+                         /*risk=*/true);
   loop.join();
 
   const auto direct = replay_direct(sliced, small_stream("cpu-batch-risk"));
@@ -337,6 +347,36 @@ TEST(ServiceLoopback, RejectTaxonomyIsMachineReadable) {
   EXPECT_EQ(pricing.stats().rejects_malformed, 2u);
   EXPECT_EQ(pricing.stats().shed, 1u);
   EXPECT_EQ(pricing.stats().admitted, 1u);
+}
+
+TEST(ServiceLoopback, InfiniteMaturityIsMalformed) {
+  // +inf maturity passes CdsOption::validate() (it is > 0); only the
+  // explicit finiteness check of the shared option check catches it.
+  const std::string path = unique_socket_path("inf");
+  service::ServiceConfig config;
+  config.stop_when_idle = true;
+  config.tenants.push_back(tenant_spec(1, "cpu-batch"));
+  net::Server server({path});
+  service::PricingService pricing(config, test_interest(), test_hazard());
+  std::thread loop([&] { server.run(pricing); });
+
+  std::vector<cds::CdsOption> options(2);
+  options[1].id = 1;
+  options[1].maturity_years = std::numeric_limits<double>::infinity();
+  {
+    net::Client client = net::Client::connect_unix(path);
+    client.send(net::encode_price_request(1, 7, options));
+    const net::Frame frame = client.read_frame();
+    ASSERT_EQ(frame.type, net::FrameType::kReject);
+    EXPECT_EQ(frame.reason, net::RejectReason::kMalformed);
+    EXPECT_EQ(frame.request, 7u);
+    EXPECT_NE(frame.detail.find("non-finite"), std::string::npos)
+        << frame.detail;
+    client.close();
+  }
+  loop.join();
+  EXPECT_EQ(pricing.stats().rejects_malformed, 1u);
+  EXPECT_EQ(pricing.stats().admitted, 0u);
 }
 
 TEST(ServiceLoopback, PoisonedStreamGetsRejectThenDisconnect) {

@@ -296,6 +296,39 @@ TEST(SweepValidation, RejectsBadInputs) {
       Error);
 }
 
+TEST(SweepRuntimeBasics, RejectedShardsThrowAndTheRuntimeStaysUsable) {
+  const auto interest = workload::paper_interest_curve(64);
+  const auto hazard = workload::paper_hazard_curve(64);
+  const auto book = mixed_book(48);
+  const auto set = workload::mc_hazard_scenarios(hazard, 23);
+  runtime::SweepRuntimeConfig cfg;
+  cfg.workers = 4;
+  cfg.shard_size = 3;
+  cfg.level = cds::simd::active_level();
+  runtime::SweepRuntime rt(interest, hazard, book, cfg);
+
+  // Hazard values of the wrong shape for the declared count: every shard
+  // rejects its range.
+  cds::ScenarioMatrix bad = set.matrix();
+  bad.hazard_values = bad.hazard_values.subspan(0, hazard.size());
+  EXPECT_THROW(rt.run(bad), Error);
+
+  cfg.workers = 1;
+  runtime::SweepRuntime single(interest, hazard, book, cfg);
+  const auto want = single.run(set.matrix());
+  const auto got = rt.run(set.matrix());
+  ASSERT_EQ(got.aggregates.size(), want.aggregates.size());
+  for (std::size_t s = 0; s < want.aggregates.size(); ++s) {
+    EXPECT_EQ(got.aggregates[s].min_spread_bps,
+              want.aggregates[s].min_spread_bps)
+        << "scenario " << s;
+    EXPECT_EQ(got.aggregates[s].max_spread_bps,
+              want.aggregates[s].max_spread_bps)
+        << "scenario " << s;
+  }
+  EXPECT_EQ(got.lanes, 4u);
+}
+
 TEST(SweepRuntimeBasics, EmptySetAndAccessors) {
   const auto interest = workload::paper_interest_curve(64);
   const auto hazard = workload::paper_hazard_curve(64);
