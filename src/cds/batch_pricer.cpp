@@ -34,51 +34,27 @@ GridSums checked_grid_sums(const LegSums& sums) {
   return {annuity, sums.payoff};
 }
 
-GridSums tabulate_grid(const TermStructure& interest,
-                       const HazardPrefix& hazard_prefix,
-                       std::span<const TimePoint> points,
-                       std::span<double> discount, std::span<double> survival,
-                       std::span<double> default_mass, bool refresh_discount,
-                       simd::Level level) {
+GridSums finish_grid(std::span<const TimePoint> points,
+                     std::span<const double> discount,
+                     std::span<const double> survival,
+                     std::span<double> default_mass) {
   CDSFLOW_ASSERT(discount.size() == points.size() &&
                      survival.size() == points.size() &&
                      default_mass.size() == points.size(),
                  "grid column spans must match the schedule length");
-  if (level != simd::Level::kScalar) {
-    // Vector path: columns via the SIMD kernels, default mass and leg sums
-    // via the scalar reduction above. Where the SIMD tier resolves back to
-    // kScalar the column values are the reference ones, so this branch is
-    // then bit-identical to the fused walk below.
-    simd::tabulate_columns(interest, hazard_prefix, points, discount, survival,
-                           refresh_discount, level);
-    double q_prev = 1.0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      default_mass[i] = q_prev - survival[i];
-      q_prev = survival[i];
-    }
-    return checked_grid_sums(reduce_leg_sums(points, discount, survival));
-  }
-  double premium = 0.0;
-  double accrual = 0.0;
-  double payoff = 0.0;
+  LegSums sums;
   double q_prev = 1.0;  // Q(0)
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const TimePoint tp = points[i];
-    const double q = survival_probability_prefix(hazard_prefix, tp.t);
-    if (refresh_discount) {
-      const double r = interest.interpolate_fast(tp.t);
-      discount[i] = std::exp(-r * tp.t);
-    }
-    const double d = discount[i];
-    const LegTerms terms = leg_terms_from_discount(d, q_prev, q, tp.dt);
-    survival[i] = q;
+    const double q = survival[i];
     default_mass[i] = q_prev - q;
-    premium += terms.premium;
-    accrual += terms.accrual;
-    payoff += terms.payoff;
+    const LegTerms terms =
+        leg_terms_from_discount(discount[i], q_prev, q, points[i].dt);
+    sums.premium += terms.premium;
+    sums.accrual += terms.accrual;
+    sums.payoff += terms.payoff;
     q_prev = q;
   }
-  return checked_grid_sums({premium, accrual, payoff});
+  return checked_grid_sums(sums);
 }
 
 }  // namespace detail
@@ -121,7 +97,6 @@ void BatchPricer::RiskWorkspace::clear() {
   ladder_payoff_up.clear();
   ladder_annuity_dn.clear();
   ladder_payoff_dn.clear();
-  bucket_scratch.clear();
   scenario_col.clear();
 }
 
@@ -129,10 +104,11 @@ BatchStats BatchPricer::build_grids(std::span<const CdsOption> options,
                                     Workspace& ws) const {
   BatchStats stats;
   stats.options = options.size();
-  if (options.empty()) return stats;
 
-  // Pass 1 -- dedup: map every option onto a unique (maturity, frequency)
-  // grid id. Options are validated here, as in the scalar reference.
+  // Pass 1 -- dedup: map every option onto a (maturity, frequency) grid id,
+  // reusing the grids already in the workspace and appending new ones.
+  // Options are validated here, as in the scalar reference.
+  ws.grid_of.clear();
   ws.grid_of.reserve(options.size());
   for (const CdsOption& option : options) {
     option.validate();
@@ -148,78 +124,51 @@ BatchStats BatchPricer::build_grids(std::span<const CdsOption> options,
     ws.grid_of.push_back(it->second);
   }
 
-  // Pass 2 -- per unique grid: materialise the schedule once into the flat
-  // arena, then tabulate D/Q/dq and reduce the three leg sums via the shared
-  // grid walk (detail::tabulate_grid), which accumulates in exactly the
-  // scalar reference's order (so spreads match bit-for-bit).
+  // Pass 2 -- every grid without an offset yet: materialise its schedule
+  // into the flat arena, tabulate the D/Q columns in one cds::simd sweep (a
+  // single lane tail for the batch instead of one per grid -- on a
+  // continuous-maturity book the grids are tiny and per-grid tails would eat
+  // most of the lane win), then per grid the default-mass column and the
+  // leg sums in the reference order. A call that threw in pass 1 leaves
+  // valid grids registered but untabulated; the next call picks them up.
+  const std::size_t first_new = ws.grid_offset.size();
   const std::size_t n_grids = ws.grid_maturity.size();
-  ws.grid_offset.reserve(n_grids);
-  ws.grid_annuity.reserve(n_grids);
-  ws.grid_payoff.reserve(n_grids);
-  if (kernel_level_ != simd::Level::kScalar) {
-    // Vector pass 2: materialise every schedule first, tabulate the whole
-    // arena in one SIMD sweep (a single lane tail for the batch instead of
-    // one per grid -- on a continuous-maturity book the grids are tiny and
-    // per-grid tails would eat most of the lane win), then reduce each
-    // grid's leg sums in the reference order.
-    for (std::size_t g = 0; g < n_grids; ++g) {
+  if (n_grids > first_new) {
+    // Per-grid arrays sized up front: growing them here while the arena
+    // grows strands freed arena blocks in the heap, and a grid that fails
+    // its annuity check leaves every per-grid array the same length.
+    ws.grid_offset.resize(n_grids);
+    ws.grid_annuity.resize(n_grids);
+    ws.grid_payoff.resize(n_grids);
+    const std::size_t first_point = ws.points.size();
+    for (std::size_t g = first_new; g < n_grids; ++g) {
       CdsOption probe;  // schedule depends only on (maturity, frequency)
       probe.maturity_years = ws.grid_maturity[g];
       probe.payment_frequency = ws.grid_frequency[g];
-      ws.grid_offset.push_back(ws.points.size());
+      ws.grid_offset[g] = ws.points.size();
       make_schedule(probe, ws.points);
     }
     const std::size_t arena = ws.points.size();
     ws.discount.resize(arena);
     ws.survival.resize(arena);
     ws.default_mass.resize(arena);
-    simd::tabulate_columns(interest_, hazard_prefix_, ws.points, ws.discount,
-                           ws.survival, /*refresh_discount=*/true,
-                           kernel_level_);
-    for (std::size_t g = 0; g < n_grids; ++g) {
+    const auto points = std::span<const TimePoint>(ws.points);
+    const auto discount = std::span<double>(ws.discount);
+    const auto survival = std::span<double>(ws.survival);
+    simd::tabulate_columns(interest_, hazard_prefix_,
+                           points.subspan(first_point),
+                           discount.subspan(first_point),
+                           survival.subspan(first_point), kernel_level_);
+    for (std::size_t g = first_new; g < n_grids; ++g) {
       const std::size_t begin = ws.grid_offset[g];
-      const std::size_t end = g + 1 < n_grids ? ws.grid_offset[g + 1] : arena;
-      // One walk per grid: the default-mass column and the three leg sums,
-      // the latter accumulating in exactly the scalar reference's order.
-      detail::LegSums sums;
-      double q_prev = 1.0;  // Q(0)
-      for (std::size_t i = begin; i < end; ++i) {
-        const double q = ws.survival[i];
-        ws.default_mass[i] = q_prev - q;
-        const LegTerms terms = leg_terms_from_discount(ws.discount[i], q_prev,
-                                                       q, ws.points[i].dt);
-        sums.premium += terms.premium;
-        sums.accrual += terms.accrual;
-        sums.payoff += terms.payoff;
-        q_prev = q;
-      }
-      const detail::GridSums checked = detail::checked_grid_sums(sums);
-      ws.grid_annuity.push_back(checked.annuity);
-      ws.grid_payoff.push_back(checked.payoff);
+      const std::size_t n = ws.grid_end(g) - begin;
+      const detail::GridSums sums = detail::finish_grid(
+          points.subspan(begin, n), discount.subspan(begin, n),
+          survival.subspan(begin, n),
+          std::span<double>(ws.default_mass).subspan(begin, n));
+      ws.grid_annuity[g] = sums.annuity;
+      ws.grid_payoff[g] = sums.payoff;
     }
-    stats.unique_schedules = n_grids;
-    stats.grid_points = ws.points.size();
-    return stats;
-  }
-  for (std::size_t g = 0; g < n_grids; ++g) {
-    CdsOption probe;  // schedule depends only on (maturity, frequency)
-    probe.maturity_years = ws.grid_maturity[g];
-    probe.payment_frequency = ws.grid_frequency[g];
-    const std::size_t offset = ws.points.size();
-    ws.grid_offset.push_back(offset);
-    const std::size_t n_points = make_schedule(probe, ws.points);
-    ws.discount.resize(offset + n_points);
-    ws.survival.resize(offset + n_points);
-    ws.default_mass.resize(offset + n_points);
-    const detail::GridSums sums = detail::tabulate_grid(
-        interest_, hazard_prefix_,
-        std::span<const TimePoint>(ws.points).subspan(offset, n_points),
-        std::span<double>(ws.discount).subspan(offset, n_points),
-        std::span<double>(ws.survival).subspan(offset, n_points),
-        std::span<double>(ws.default_mass).subspan(offset, n_points),
-        /*refresh_discount=*/true);
-    ws.grid_annuity.push_back(sums.annuity);
-    ws.grid_payoff.push_back(sums.payoff);
   }
   stats.unique_schedules = n_grids;
   stats.grid_points = ws.points.size();
@@ -233,36 +182,15 @@ BatchStats BatchPricer::price(std::span<const CdsOption> options,
                  "batch price() needs out.size() == options.size()");
   ws.clear();
   BatchStats stats = build_grids(options, ws);
-  if (options.empty()) return stats;
-  const std::size_t n_grids = stats.unique_schedules;
 
   // Pass 3 -- per option: a branch-free combine against the reduced grid
-  // sums. Association order matches combine_spread_bps; the vector kernel
-  // evaluates the identical expression `lanes(level)` options per step, so
-  // it stays bit-exact (see simd::combine_spreads).
-  const std::uint32_t* grid_of = ws.grid_of.data();
-  if (kernel_level_ != simd::Level::kScalar) {
-    simd::combine_spreads(options, ws.grid_of, ws.grid_annuity, ws.grid_payoff,
-                          out, kernel_level_);
-  } else {
-    const double* annuity = ws.grid_annuity.data();
-    const double* payoff = ws.grid_payoff.data();
-    for (std::size_t i = 0; i < options.size(); ++i) {
-      const std::uint32_t g = grid_of[i];
-      const double protection =
-          (1.0 - options[i].recovery_rate) * payoff[g];
-      out[i] = {options[i].id,
-                kBasisPointsPerUnit * protection / annuity[g]};
-    }
+  // sums, `lanes(level)` options per step. Association order matches
+  // combine_spread_bps at every level (see simd::combine_spreads).
+  simd::combine_spreads(options, ws.grid_of, ws.grid_annuity, ws.grid_payoff,
+                        out, kernel_level_);
+  for (const std::uint32_t g : ws.grid_of) {
+    stats.scalar_points += ws.grid_end(g) - ws.grid_offset[g];
   }
-  std::size_t scalar_points = 0;
-  for (std::size_t i = 0; i < options.size(); ++i) {
-    const std::uint32_t g = grid_of[i];
-    const std::size_t grid_end =
-        g + 1 < n_grids ? ws.grid_offset[g + 1] : ws.points.size();
-    scalar_points += grid_end - ws.grid_offset[g];
-  }
-  stats.scalar_points = scalar_points;
   return stats;
 }
 
@@ -319,9 +247,11 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
         make_hazard_prefix(bucket_bump(hazard_, lo, hi, -bump)));
   }
 
-  // Pass 2b -- per unique grid: tabulate every bumped scenario's leg sums
-  // in one walk over the grid's points, each scenario accumulating in the
-  // reference order with its own running survival.
+  // Pass 2b -- one arena-wide column per bumped scenario: the bumped
+  // survival for hazard/bucket bumps (base discount reused), the bumped
+  // discount for interest bumps (base survival reused), then a per-grid
+  // reduction in the reference order. Column-at-a-time keeps the extra
+  // scratch at a single arena column regardless of ladder size.
   const std::size_t n_grids = stats.base.unique_schedules;
   ws.annuity_hazard_up.reserve(n_grids);
   ws.payoff_hazard_up.reserve(n_grids);
@@ -331,189 +261,66 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
   ws.payoff_interest_up.reserve(n_grids);
   ws.annuity_interest_dn.reserve(n_grids);
   ws.payoff_interest_dn.reserve(n_grids);
-  ws.ladder_annuity_up.reserve(n_grids * n_buckets);
-  ws.ladder_payoff_up.reserve(n_grids * n_buckets);
-  ws.ladder_annuity_dn.reserve(n_grids * n_buckets);
-  ws.ladder_payoff_dn.reserve(n_grids * n_buckets);
-  // Layout of bucket_scratch, per bucket b and direction (up = 0, dn = 1):
-  // [8 * b + 4 * dir + {0: q_prev, 1: premium, 2: accrual, 3: payoff}].
-  ws.bucket_scratch.resize(8 * n_buckets);
+  ws.scenario_col.resize(ws.base.points.size());
+  const auto points = std::span<const TimePoint>(ws.base.points);
+  const auto col = std::span<double>(ws.scenario_col);
 
-  if (kernel_level_ != simd::Level::kScalar) {
-    // Vector pass 2b: one arena-wide SIMD column per scenario -- the bumped
-    // survival for hazard/bucket bumps (base discount reused), the bumped
-    // discount for interest bumps (base survival reused) -- then a scalar
-    // per-grid reduction in the reference order. Column-at-a-time keeps the
-    // extra scratch at a single arena column regardless of ladder size.
-    const std::size_t arena = ws.base.points.size();
-    ws.scenario_col.resize(arena);
-    const auto points = std::span<const TimePoint>(ws.base.points);
-    const auto col = std::span<double>(ws.scenario_col);
-
-    const auto reduce_all = [&](std::span<const double> discount,
-                                std::span<const double> survival,
-                                auto&& store) {
-      for (std::size_t g = 0; g < n_grids; ++g) {
-        const std::size_t begin = ws.base.grid_offset[g];
-        const std::size_t end =
-            g + 1 < n_grids ? ws.base.grid_offset[g + 1] : arena;
-        const std::size_t n = end - begin;
-        store(g, detail::checked_grid_sums(detail::reduce_leg_sums(
-                     points.subspan(begin, n), discount.subspan(begin, n),
-                     survival.subspan(begin, n))));
-      }
-    };
-    const auto push_into = [](std::vector<double>& annuities,
-                              std::vector<double>& payoffs) {
-      return [&annuities, &payoffs](std::size_t, const detail::GridSums& s) {
-        annuities.push_back(s.annuity);
-        payoffs.push_back(s.payoff);
-      };
-    };
-
-    // Hazard parallel bumps: base discount, bumped survival.
-    simd::survival_column(hazard_up, points, col, kernel_level_);
-    reduce_all(ws.base.discount, col,
-               push_into(ws.annuity_hazard_up, ws.payoff_hazard_up));
-    simd::survival_column(hazard_dn, points, col, kernel_level_);
-    reduce_all(ws.base.discount, col,
-               push_into(ws.annuity_hazard_dn, ws.payoff_hazard_dn));
-    // Interest parallel bumps: bumped discount, base survival.
-    simd::discount_column(interest_up, points, col, kernel_level_);
-    reduce_all(col, ws.base.survival,
-               push_into(ws.annuity_interest_up, ws.payoff_interest_up));
-    simd::discount_column(interest_dn, points, col, kernel_level_);
-    reduce_all(col, ws.base.survival,
-               push_into(ws.annuity_interest_dn, ws.payoff_interest_dn));
-    // Ladder bucket bumps: base discount, bucket-bumped survival. The
-    // per-(grid, bucket) vectors are row-major per grid, so the per-bucket
-    // column sweeps write by index instead of pushing.
-    ws.ladder_annuity_up.resize(n_grids * n_buckets);
-    ws.ladder_payoff_up.resize(n_grids * n_buckets);
-    ws.ladder_annuity_dn.resize(n_grids * n_buckets);
-    ws.ladder_payoff_dn.resize(n_grids * n_buckets);
-    for (std::size_t b = 0; b < n_buckets; ++b) {
-      simd::survival_column(bucket_up[b], points, col, kernel_level_);
-      reduce_all(ws.base.discount, col,
-                 [&](std::size_t g, const detail::GridSums& s) {
-                   ws.ladder_annuity_up[g * n_buckets + b] = s.annuity;
-                   ws.ladder_payoff_up[g * n_buckets + b] = s.payoff;
-                 });
-      simd::survival_column(bucket_dn[b], points, col, kernel_level_);
-      reduce_all(ws.base.discount, col,
-                 [&](std::size_t g, const detail::GridSums& s) {
-                   ws.ladder_annuity_dn[g * n_buckets + b] = s.annuity;
-                   ws.ladder_payoff_dn[g * n_buckets + b] = s.payoff;
-                 });
-    }
-  } else {
+  // Hoisted per grid, exactly like the base pass: the annuity is
+  // recovery-free under every scenario (same diagnostic as
+  // combine_spread_bps, which the scalar bumped repricings hit).
+  const auto reduce_all = [&](std::span<const double> discount,
+                              std::span<const double> survival,
+                              auto&& store) {
     for (std::size_t g = 0; g < n_grids; ++g) {
       const std::size_t begin = ws.base.grid_offset[g];
-      const std::size_t end =
-          g + 1 < n_grids ? ws.base.grid_offset[g + 1] : ws.base.points.size();
-
-      double premium_hup = 0.0, accrual_hup = 0.0, payoff_hup = 0.0;
-      double premium_hdn = 0.0, accrual_hdn = 0.0, payoff_hdn = 0.0;
-      double premium_iup = 0.0, accrual_iup = 0.0, payoff_iup = 0.0;
-      double premium_idn = 0.0, accrual_idn = 0.0, payoff_idn = 0.0;
-      double q_prev_hup = 1.0, q_prev_hdn = 1.0, q_prev_base = 1.0;
-      for (double& v : ws.bucket_scratch) v = 0.0;
-      for (std::size_t b = 0; b < n_buckets; ++b) {
-        ws.bucket_scratch[8 * b] = 1.0;      // q_prev, up
-        ws.bucket_scratch[8 * b + 4] = 1.0;  // q_prev, dn
-      }
-
-      for (std::size_t i = begin; i < end; ++i) {
-        const TimePoint tp = ws.base.points[i];
-        const double d_base = ws.base.discount[i];
-        const double q_base = ws.base.survival[i];
-        // Hazard parallel bumps: base discount, bumped survival.
-        {
-          const double q = survival_probability_prefix(hazard_up, tp.t);
-          const LegTerms terms =
-              leg_terms_from_discount(d_base, q_prev_hup, q, tp.dt);
-          premium_hup += terms.premium;
-          accrual_hup += terms.accrual;
-          payoff_hup += terms.payoff;
-          q_prev_hup = q;
-        }
-        {
-          const double q = survival_probability_prefix(hazard_dn, tp.t);
-          const LegTerms terms =
-              leg_terms_from_discount(d_base, q_prev_hdn, q, tp.dt);
-          premium_hdn += terms.premium;
-          accrual_hdn += terms.accrual;
-          payoff_hdn += terms.payoff;
-          q_prev_hdn = q;
-        }
-        // Interest parallel bumps: bumped discount, base survival.
-        {
-          const double r = interest_up.interpolate_fast(tp.t);
-          const LegTerms terms = leg_terms_from_discount(
-              std::exp(-r * tp.t), q_prev_base, q_base, tp.dt);
-          premium_iup += terms.premium;
-          accrual_iup += terms.accrual;
-          payoff_iup += terms.payoff;
-        }
-        {
-          const double r = interest_dn.interpolate_fast(tp.t);
-          const LegTerms terms = leg_terms_from_discount(
-              std::exp(-r * tp.t), q_prev_base, q_base, tp.dt);
-          premium_idn += terms.premium;
-          accrual_idn += terms.accrual;
-          payoff_idn += terms.payoff;
-        }
-        // Ladder bucket bumps: base discount, bucket-bumped survival.
-        for (std::size_t b = 0; b < n_buckets; ++b) {
-          double* up = ws.bucket_scratch.data() + 8 * b;
-          double* dn = up + 4;
-          const double q_up = survival_probability_prefix(bucket_up[b], tp.t);
-          const LegTerms terms_up =
-              leg_terms_from_discount(d_base, up[0], q_up, tp.dt);
-          up[1] += terms_up.premium;
-          up[2] += terms_up.accrual;
-          up[3] += terms_up.payoff;
-          up[0] = q_up;
-          const double q_dn = survival_probability_prefix(bucket_dn[b], tp.t);
-          const LegTerms terms_dn =
-              leg_terms_from_discount(d_base, dn[0], q_dn, tp.dt);
-          dn[1] += terms_dn.premium;
-          dn[2] += terms_dn.accrual;
-          dn[3] += terms_dn.payoff;
-          dn[0] = q_dn;
-        }
-        q_prev_base = q_base;
-      }
-
-      // Hoisted per grid, exactly like the base pass: the annuity is
-      // recovery-free under every scenario (same diagnostic as
-      // combine_spread_bps, which the scalar bumped repricings hit).
-      const auto push_scenario = [](double premium, double accrual,
-                                    double payoff, std::vector<double>& annuities,
-                                    std::vector<double>& payoffs) {
-        const double annuity = premium + accrual;
-        CDSFLOW_EXPECT(annuity > 0.0,
-                       "risky annuity must be positive to quote a spread");
-        annuities.push_back(annuity);
-        payoffs.push_back(payoff);
-      };
-      push_scenario(premium_hup, accrual_hup, payoff_hup, ws.annuity_hazard_up,
-                    ws.payoff_hazard_up);
-      push_scenario(premium_hdn, accrual_hdn, payoff_hdn, ws.annuity_hazard_dn,
-                    ws.payoff_hazard_dn);
-      push_scenario(premium_iup, accrual_iup, payoff_iup,
-                    ws.annuity_interest_up, ws.payoff_interest_up);
-      push_scenario(premium_idn, accrual_idn, payoff_idn,
-                    ws.annuity_interest_dn, ws.payoff_interest_dn);
-      for (std::size_t b = 0; b < n_buckets; ++b) {
-        const double* up = ws.bucket_scratch.data() + 8 * b;
-        const double* dn = up + 4;
-        push_scenario(up[1], up[2], up[3], ws.ladder_annuity_up,
-                      ws.ladder_payoff_up);
-        push_scenario(dn[1], dn[2], dn[3], ws.ladder_annuity_dn,
-                      ws.ladder_payoff_dn);
-      }
+      const std::size_t n = ws.base.grid_end(g) - begin;
+      store(g, detail::checked_grid_sums(detail::reduce_leg_sums(
+                   points.subspan(begin, n), discount.subspan(begin, n),
+                   survival.subspan(begin, n))));
     }
+  };
+  const auto push_into = [](std::vector<double>& annuities,
+                            std::vector<double>& payoffs) {
+    return [&annuities, &payoffs](std::size_t, const detail::GridSums& s) {
+      annuities.push_back(s.annuity);
+      payoffs.push_back(s.payoff);
+    };
+  };
+
+  // Hazard parallel bumps: base discount, bumped survival.
+  simd::survival_column(hazard_up, points, col, kernel_level_);
+  reduce_all(ws.base.discount, col,
+             push_into(ws.annuity_hazard_up, ws.payoff_hazard_up));
+  simd::survival_column(hazard_dn, points, col, kernel_level_);
+  reduce_all(ws.base.discount, col,
+             push_into(ws.annuity_hazard_dn, ws.payoff_hazard_dn));
+  // Interest parallel bumps: bumped discount, base survival.
+  simd::discount_column(interest_up, points, col, kernel_level_);
+  reduce_all(col, ws.base.survival,
+             push_into(ws.annuity_interest_up, ws.payoff_interest_up));
+  simd::discount_column(interest_dn, points, col, kernel_level_);
+  reduce_all(col, ws.base.survival,
+             push_into(ws.annuity_interest_dn, ws.payoff_interest_dn));
+  // Ladder bucket bumps: base discount, bucket-bumped survival. The
+  // per-(grid, bucket) vectors are row-major per grid, so the per-bucket
+  // column sweeps write by index instead of pushing.
+  ws.ladder_annuity_up.resize(n_grids * n_buckets);
+  ws.ladder_payoff_up.resize(n_grids * n_buckets);
+  ws.ladder_annuity_dn.resize(n_grids * n_buckets);
+  ws.ladder_payoff_dn.resize(n_grids * n_buckets);
+  for (std::size_t b = 0; b < n_buckets; ++b) {
+    simd::survival_column(bucket_up[b], points, col, kernel_level_);
+    reduce_all(ws.base.discount, col,
+               [&](std::size_t g, const detail::GridSums& s) {
+                 ws.ladder_annuity_up[g * n_buckets + b] = s.annuity;
+                 ws.ladder_payoff_up[g * n_buckets + b] = s.payoff;
+               });
+    simd::survival_column(bucket_dn[b], points, col, kernel_level_);
+    reduce_all(ws.base.discount, col,
+               [&](std::size_t g, const detail::GridSums& s) {
+                 ws.ladder_annuity_dn[g * n_buckets + b] = s.annuity;
+                 ws.ladder_payoff_dn[g * n_buckets + b] = s.payoff;
+               });
   }
   stats.bumped_grid_points = (4 + 2 * n_buckets) * stats.base.grid_points;
 
@@ -572,10 +379,7 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
                         ws.ladder_annuity_dn[gb];
       ladder_out[i * n_buckets + b] = (up - dn) / (2.0 * bump) * 1e-4;
     }
-    const std::size_t grid_end = g + 1 < n_grids
-                                     ? ws.base.grid_offset[g + 1]
-                                     : ws.base.points.size();
-    scalar_points += grid_end - ws.base.grid_offset[g];
+    scalar_points += ws.base.grid_end(g) - ws.base.grid_offset[g];
   }
   stats.base.scalar_points = scalar_points;
   stats.scalar_repricings = options.size() * (7 + 2 * n_buckets);

@@ -54,16 +54,20 @@
 /// compilation; the tests and benches hold the documented tolerance of
 /// 1e-12 relative (the acceptance bound is 1e-9).
 ///
-/// *Vector kernel* (cds/vector_kernel.hpp): constructed with a
-/// simd::Level above kScalar, passes 2/2b tabulate the discount and
-/// survival columns with the SIMD exp/search kernels -- arena-wide, one
-/// lane tail for the whole batch instead of one per grid -- and pass 3
-/// combines spreads `lanes(level)` options at a time. The leg-sum
-/// *reductions* stay scalar in the reference association order, so the only
-/// divergence from the scalar kernel is the per-element column math, bounded
-/// by VectorKernelContract (cds/precision.hpp) and documented in
-/// docs/VECTOR_LANES.md. At kScalar (the default) every path below is
-/// byte-for-byte the pre-vector kernel.
+/// *Lanes* (cds/vector_kernel.hpp): passes 2/2b tabulate the discount and
+/// survival columns with cds::simd -- arena-wide, one lane tail for the
+/// whole batch instead of one per grid -- and pass 3 combines spreads
+/// `lanes(level)` options at a time. This is the kernel's only path: the
+/// SIMD level is a parameter of the cds::simd calls, and nothing else here
+/// looks at it. At kScalar (one un-replicated lane, the default) cds::simd
+/// runs the scalar reference arithmetic, so spreads, Greeks and columns are
+/// bit-identical to ReferencePricer, compute_sensitivities / cs01_ladder and
+/// the reference curve math (tests/test_vector_kernel.cpp,
+/// ScalarLevelIsBitIdenticalToReference). The leg-sum *reductions* stay
+/// scalar in the reference association order at every level, so above
+/// kScalar the only divergence is the per-element column math, bounded by
+/// VectorKernelContract (cds/precision.hpp) and documented in
+/// docs/VECTOR_LANES.md.
 
 #pragma once
 
@@ -112,28 +116,6 @@ struct GridSums {
   double payoff = 0.0;   ///< unscaled payoff sum
 };
 
-/// Tabulates one schedule grid: fills the discount / survival / default-mass
-/// columns over `points` and reduces the leg sums in the scalar reference's
-/// accumulation order. The single home of the grid walk, shared by
-/// BatchPricer::build_grids and the streaming pricer (cds/stream_pricer.hpp)
-/// so a batch-built and an incrementally-maintained grid are bit-identical.
-/// With `refresh_discount` false the stored discount column is reused
-/// instead of recomputed -- the hazard-quote update path, where the interest
-/// curve has not moved (the reused values are the ones a recompute would
-/// produce, so bit-consistency is preserved either way). Throws the scalar
-/// reference's diagnostic when the risky annuity is not positive.
-///
-/// `level` above simd::Level::kScalar tabulates the columns with the SIMD
-/// kernels (column values within VectorKernelContract of the reference);
-/// the leg-sum reduction stays in the reference association order either
-/// way. The default reproduces the scalar walk exactly.
-GridSums tabulate_grid(const TermStructure& interest,
-                       const HazardPrefix& hazard_prefix,
-                       std::span<const TimePoint> points,
-                       std::span<double> discount, std::span<double> survival,
-                       std::span<double> default_mass, bool refresh_discount,
-                       simd::Level level = simd::Level::kScalar);
-
 /// The three running leg sums of one grid walk.
 struct LegSums {
   double premium = 0.0;
@@ -142,10 +124,11 @@ struct LegSums {
 };
 
 /// Reduces the three leg sums over already-tabulated columns in exactly the
-/// scalar walk's accumulation order. The vector passes produce columns; this
-/// reduction is what keeps them bit-consistent with the fused scalar walk
-/// whenever the column values themselves agree. Shared by the batch, stream
-/// and scenario-sweep pricers so every engine folds columns identically.
+/// reference pricer's accumulation order (price_breakdown). The column
+/// passes produce values; this reduction is what keeps the sums
+/// bit-consistent with the reference whenever the column values themselves
+/// agree. Shared by the batch, stream and scenario-sweep pricers so every
+/// engine folds columns identically.
 LegSums reduce_leg_sums(std::span<const TimePoint> points,
                         std::span<const double> discount,
                         std::span<const double> survival);
@@ -154,6 +137,17 @@ LegSums reduce_leg_sums(std::span<const TimePoint> points,
 /// one check per grid covers every option on it (same diagnostic as
 /// combine_spread_bps).
 GridSums checked_grid_sums(const LegSums& sums);
+
+/// Completes one grid whose discount and survival columns are tabulated:
+/// fills its default-mass column dq_i = Q(t_{i-1}) - Q(t_i) and reduces the
+/// leg sums in the reference order, in one walk (checked like
+/// checked_grid_sums). Shared by BatchPricer::build_grids and the streaming
+/// pricer's hazard-quote re-tabulation, so a batch-built and an
+/// incrementally maintained grid are bit-identical.
+GridSums finish_grid(std::span<const TimePoint> points,
+                     std::span<const double> discount,
+                     std::span<const double> survival,
+                     std::span<double> default_mass);
 
 }  // namespace detail
 
@@ -194,9 +188,11 @@ struct BatchRiskStats {
 
 class BatchPricer {
  public:
-  /// Reusable scratch for price(): flat SoA arrays plus the dedup map. All
-  /// memory is retained between calls, so a warmed workspace makes a batch
-  /// allocation-free. One workspace per concurrent caller.
+  /// The grid store: flat SoA arrays plus the dedup map. price() clears it
+  /// per call; the streaming pricer keeps one alive across calls as its
+  /// grid cache (build_grids only appends). All memory is retained, so a
+  /// warmed workspace makes a batch allocation-free. One workspace per
+  /// concurrent caller.
   struct Workspace {
     // Per option, in batch order.
     std::vector<std::uint32_t> grid_of;
@@ -221,6 +217,10 @@ class BatchPricer {
         dedup;
 
     void clear();
+    /// One past grid g's last point in the arena.
+    std::size_t grid_end(std::size_t g) const {
+      return g + 1 < grid_offset.size() ? grid_offset[g + 1] : points.size();
+    }
   };
 
   /// Scratch for price_with_sensitivities(): the base pricing workspace
@@ -239,10 +239,8 @@ class BatchPricer {
     // Per (grid, bucket), row-major: sums under the bucket-bumped hazard.
     std::vector<double> ladder_annuity_up, ladder_payoff_up;
     std::vector<double> ladder_annuity_dn, ladder_payoff_dn;
-    // Per-grid accumulator scratch (2 q_prev + 6 sums per ladder bucket).
-    std::vector<double> bucket_scratch;
-    // Vector-kernel path: one arena-wide scenario column, reused across all
-    // bumped scenarios (column-at-a-time keeps risk scratch at one column).
+    // One arena-wide scenario column, reused across all bumped scenarios
+    // (column-at-a-time keeps risk scratch at one column).
     std::vector<double> scenario_col;
 
     void clear();
@@ -308,12 +306,16 @@ class BatchPricer {
   RiskRun price_with_sensitivities(const std::vector<CdsOption>& options,
                                    const BatchRiskConfig& config = {}) const;
 
-  /// Passes 1-2 of the kernel (dedup + base-grid tabulation), shared by the
-  /// pricing and risk paths and reused by the scenario sweep (which builds
-  /// the base grids once and re-tabulates only the moved column per
-  /// scenario). Fills everything in `ws` except grid_of-driven combines;
-  /// returns stats with options / unique_schedules / grid_points set
-  /// (scalar_points is left to the caller's combine loop).
+  /// Passes 1-2 of the kernel (dedup + base-grid tabulation): the one place
+  /// grids are deduplicated and tabulated, shared by the pricing and risk
+  /// paths, the scenario sweep (which builds the base grids once and
+  /// re-tabulates only the moved column per scenario) and the streaming
+  /// pricer. Grids already in `ws` are reused; the (maturity, frequency)
+  /// pairs it lacks are appended and tabulated in one column sweep. Fills
+  /// grid_of for `options` and everything per grid; returns stats with
+  /// options set and unique_schedules / grid_points counting every grid in
+  /// `ws` (on a cleared workspace, this batch's; scalar_points is left to
+  /// the caller's combine loop).
   BatchStats build_grids(std::span<const CdsOption> options,
                          Workspace& ws) const;
 

@@ -99,9 +99,9 @@ struct VectorKernelContract {
   }
   // JTD (= 1 - R, no curve math) and the pass-3 spread combine are bit-exact
   // by construction: identical IEEE expressions evaluated per lane. The
-  // kScalar fallback is bit-identical to the scalar batch kernel, not merely
-  // within tolerance. Both are EXPECT_EQ'd in the tests, so they carry no
-  // constant here.
+  // kScalar level is bit-identical to the scalar reference pricers, not
+  // merely within tolerance. Both are EXPECT_EQ'd in the tests, so they
+  // carry no constant here.
 };
 
 }  // namespace cdsflow::cds

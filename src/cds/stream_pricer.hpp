@@ -28,10 +28,16 @@
 ///     incremental state is bit-consistent with a freshly-built BatchPricer
 ///     on the updated curve (asserted by tests/test_stream_pricer.cpp).
 ///
+/// The pricer owns no grid code of its own: it holds one BatchPricer on the
+/// current curves and one BatchPricer::Workspace that it never clears, so
+/// BatchPricer::build_grids -- the one home of dedup and tabulation --
+/// appends the grids a micro-batch introduces and reuses the rest. A
+/// hazard-quote update replaces the BatchPricer and re-tabulates the
+/// affected grids' survival columns in place.
+///
 /// Risk mode reuses the batched Greeks kernel: price_with_sensitivities()
-/// delegates each micro-batch to BatchPricer::price_with_sensitivities on
-/// the current curves (the bumped-scenario curves move with every quote, so
-/// the risk pass is rebuilt lazily after an update rather than patched).
+/// delegates each micro-batch to the same BatchPricer's
+/// price_with_sensitivities on its own warm RiskWorkspace.
 ///
 /// Thread compatibility matches BatchPricer's workspaces: one StreamPricer
 /// per concurrent caller (the stream runtime holds one replica per lane and
@@ -40,7 +46,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -60,10 +65,10 @@ struct StreamPricerConfig {
   /// CS01 ladder bucket edges for risk mode; empty disables the ladder.
   std::vector<double> ladder_edges;
   /// SIMD tier of the grid tabulations and per-option combines
-  /// (cds/vector_kernel.hpp; clamped to the host). kScalar reproduces the
-  /// scalar batch kernel bit-for-bit; vector levels hold
-  /// VectorKernelContract against it. Risk mode forwards the level to the
-  /// batched Greeks kernel.
+  /// (cds/vector_kernel.hpp; clamped to the host), the BatchPricer's
+  /// kernel_level: kScalar is bit-identical to the scalar reference, vector
+  /// levels hold VectorKernelContract against it. Risk mode runs the
+  /// batched Greeks kernel at the same level.
   simd::Level kernel_level = simd::Level::kScalar;
 };
 
@@ -86,8 +91,8 @@ struct StreamPricerStats {
 
 class StreamPricer {
  public:
-  /// Both curves are copied; the interest curve is validated once (it never
-  /// changes) and the hazard prefix table is built for the initial curve.
+  /// Both curves are copied into the BatchPricer, which validates the
+  /// interest curve and builds the hazard prefix table.
   StreamPricer(TermStructure interest, TermStructure hazard,
                StreamPricerConfig config = {});
 
@@ -113,8 +118,8 @@ class StreamPricer {
   /// full rebuild on the updated curve.
   std::size_t update_hazard_quote(std::size_t knot, double rate);
 
-  const TermStructure& interest() const { return interest_; }
-  const TermStructure& hazard() const { return hazard_; }
+  const TermStructure& interest() const { return pricer_.interest(); }
+  const TermStructure& hazard() const { return pricer_.hazard(); }
   const StreamPricerConfig& config() const { return config_; }
   bool risk_mode() const { return config_.risk_mode; }
   /// Buckets per option that price_with_sensitivities writes (0 without a
@@ -125,30 +130,16 @@ class StreamPricer {
   const StreamPricerStats& stats() const { return stats_; }
 
  private:
-  /// Tabulates grid `g`'s columns and leg sums in place.
-  void tabulate(std::size_t g, bool refresh_discount);
-  /// (Re)builds the lazily-cached risk-kernel pricer after quote updates.
-  const BatchPricer& risk_pricer();
-
-  TermStructure interest_;
-  TermStructure hazard_;
-  HazardPrefix hazard_prefix_;
   StreamPricerConfig config_;
-
-  /// Persistent grid cache; same layout as the batch workspace, but never
-  /// cleared between batches (grid_of is per-call scratch).
+  /// The batch kernel on the current curves; update_hazard_quote replaces
+  /// it.
+  BatchPricer pricer_;
+  /// Persistent grid cache, never cleared between batches (grid_of is
+  /// per-call scratch).
   BatchPricer::Workspace grids_;
-  /// Number of points of grid g: grid_offset[g+1] - grid_offset[g] needs a
-  /// sentinel; store explicit sizes instead so grids stay appendable.
-  std::vector<std::size_t> grid_points_;
-
-  /// Risk mode: the batched Greeks kernel on the current curves, rebuilt
-  /// lazily after a quote update. The RiskWorkspace stays warm across
-  /// batches.
-  std::unique_ptr<BatchPricer> risk_pricer_;
+  /// Risk mode: the Greeks kernel's workspace, warm across batches.
   BatchPricer::RiskWorkspace risk_workspace_;
   BatchRiskConfig risk_config_;
-  bool risk_dirty_ = true;
 
   StreamPricerStats stats_;
 };

@@ -54,8 +54,7 @@ std::size_t vector_head(std::size_t n, Level level) {
 /// That is what keeps vector-level results invariant under sharding, thread
 /// chunking and micro-batching (the runtime's determinism guarantees), and
 /// incremental per-grid re-tabulation bit-consistent with an arena-wide
-/// rebuild. kScalar keeps std::exp: the scalar reference, bit-identical to
-/// the scalar batch kernel.
+/// rebuild. kScalar keeps std::exp: the scalar reference arithmetic.
 double exp_pd_scalar(double x) {
   constexpr double kLog2e = 1.44269504088896340736;
   constexpr double kLn2Hi = 6.93147180369123816490e-01;
@@ -255,8 +254,8 @@ void survival_column(const HazardPrefix& prefix,
     }
     return;
   }
-  // kScalar: the scalar reference arithmetic, bit-identical to the batch
-  // kernel's fused walk.
+  // kScalar: the scalar reference arithmetic (survival_probability's bits,
+  // via the prefix table).
   for (std::size_t i = 0; i < points.size(); ++i) {
     out[i] = survival_probability_prefix(prefix, points[i].t);
   }
@@ -310,11 +309,9 @@ void tabulate_columns(const TermStructure& interest,
                       const HazardPrefix& prefix,
                       std::span<const TimePoint> points,
                       std::span<double> discount, std::span<double> survival,
-                      bool refresh_discount, Level level) {
+                      Level level) {
   survival_column(prefix, points, survival, level);
-  if (refresh_discount) {
-    discount_column(interest, points, discount, level);
-  }
+  discount_column(interest, points, discount, level);
 }
 
 void combine_spreads(std::span<const CdsOption> options,
@@ -348,7 +345,7 @@ void combine_spreads(std::span<const CdsOption> options,
       out[i].id = options[i].id;
     }
   }
-  // Scalar tail / fallback: the batch kernel's combine, op for op.
+  // Scalar tail / kScalar: combine_spread_bps' expression, op for op.
   for (std::size_t i = head; i < options.size(); ++i) {
     const std::uint32_t g = grid_of[i];
     const double protection = (1.0 - options[i].recovery_rate) * payoff[g];

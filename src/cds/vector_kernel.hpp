@@ -35,7 +35,10 @@
 /// Precision contract (documented in docs/VECTOR_LANES.md, every bound
 /// asserted by tests/test_vector_kernel.cpp; the numeric bounds live in
 /// cds/precision.hpp as VectorKernelContract):
-///   * kScalar level: bit-identical to the scalar batch kernel.
+///   * kScalar level: bit-identical to the scalar reference (ReferencePricer,
+///     compute_sensitivities / cs01_ladder). The pricers in src/cds call
+///     these kernels at every level and never branch on it, so this is the
+///     only place kScalar differs from a vector level.
 ///   * The integrated hazard and the interpolated rate use the reference
 ///     expressions (no fused contractions), so the only vector-vs-scalar
 ///     deviation in the columns is exp_pd() vs std::exp -- bounded by
@@ -106,14 +109,12 @@ void discount_column(const TermStructure& interest,
                      std::span<const TimePoint> points, std::span<double> out,
                      Level level);
 
-/// Both base-grid columns in one call: survival always, discount only when
-/// `refresh_discount` (the hazard-quote update path reuses the stored
-/// column, exactly like detail::tabulate_grid).
+/// Both base-grid columns in one call (BatchPricer::build_grids).
 void tabulate_columns(const TermStructure& interest,
                       const HazardPrefix& prefix,
                       std::span<const TimePoint> points,
                       std::span<double> discount, std::span<double> survival,
-                      bool refresh_discount, Level level);
+                      Level level);
 
 /// The branch-free per-option combine, W options per iteration: gathers
 /// each option's grid sums by id and evaluates

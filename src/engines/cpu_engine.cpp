@@ -9,25 +9,29 @@
 
 #include "common/error.hpp"
 #include "common/thread_annotations.hpp"
+#include "engines/registry.hpp"
 
 namespace cdsflow::engine {
+
+cds::simd::Level cpu_kernel_level(CpuKernel kernel) {
+  return kernel == CpuKernel::kVec || kernel == CpuKernel::kSweep
+             ? cds::simd::active_level()
+             : cds::simd::Level::kScalar;
+}
 
 CpuEngine::CpuEngine(cds::TermStructure interest, cds::TermStructure hazard,
                      CpuEngineConfig config)
     : pricer_(std::move(interest), std::move(hazard)),
       threads_(config.threads),
-      batch_(config.batch_kernel || config.vector_kernel ||
-             config.sweep_kernel),
-      vector_(config.vector_kernel || config.sweep_kernel),
-      sweep_(config.sweep_kernel),
+      kernel_(config.kernel),
       risk_(config.risk_mode) {
   if (threads_ == 0) {
     threads_ = std::max(1u, std::thread::hardware_concurrency());
   }
-  if (batch_) {
-    if (vector_) kernel_level_ = cds::simd::active_level();
+  if (kernel_ != CpuKernel::kReference) {
     batch_pricer_ = std::make_unique<cds::BatchPricer>(
-        pricer_.interest(), pricer_.hazard(), kernel_level_);
+        pricer_.interest(), pricer_.hazard(), cpu_kernel_level(kernel_));
+    kernel_level_ = batch_pricer_->kernel_level();
   }
   risk_config_.bump = config.risk_bump;
   risk_config_.ladder_edges = std::move(config.ladder_edges);
@@ -44,20 +48,18 @@ CpuEngine::CpuEngine(cds::TermStructure interest, cds::TermStructure hazard,
 }
 
 std::string CpuEngine::name() const {
-  std::string base =
-      sweep_ ? "cpu-sweep" : vector_ ? "cpu-vec" : batch_ ? "cpu-batch" : "cpu";
-  if (risk_) base += "-risk";
-  return threads_ == 1 ? base : (base + "-mt" + std::to_string(threads_));
+  return cpu_engine_name(kernel_, risk_, threads_);
 }
 
 std::string CpuEngine::description() const {
   std::string kernel = "scalar reference kernel";
-  if (vector_) {
-    kernel = std::string(sweep_ ? "scenario-sweep SIMD kernel ("
-                                : "SIMD batch kernel (") +
+  if (kernel_ == CpuKernel::kVec || kernel_ == CpuKernel::kSweep) {
+    kernel = std::string(kernel_ == CpuKernel::kSweep
+                             ? "scenario-sweep SIMD kernel ("
+                             : "SIMD batch kernel (") +
              cds::simd::to_string(kernel_level_) + ", " +
              std::to_string(cds::simd::lanes(kernel_level_)) + " lane(s))";
-  } else if (batch_) {
+  } else if (kernel_ == CpuKernel::kBatch) {
     kernel = "batched SoA fast-path kernel";
   }
   return std::string("Bespoke C++ CPU engine, ") + kernel +
@@ -80,7 +82,7 @@ void CpuEngine::price_chunk(std::span<const cds::CdsOption> options,
   const std::size_t n = end - begin;
   if (risk_) {
     const std::size_t buckets = run.ladder_buckets;
-    if (batch_) {
+    if (batch_pricer_) {
       batch_pricer_->price_with_sensitivities(
           options.subspan(begin, n),
           std::span<cds::Sensitivities>(run.sensitivities).subspan(begin, n),
@@ -108,7 +110,7 @@ void CpuEngine::price_chunk(std::span<const cds::CdsOption> options,
     }
     return;
   }
-  if (batch_) {
+  if (batch_pricer_) {
     batch_pricer_->price(
         options.subspan(begin, n),
         std::span<cds::SpreadResult>(run.results).subspan(begin, n),

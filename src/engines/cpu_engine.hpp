@@ -3,29 +3,36 @@
 /// OpenMP for multi-threading" on a 24-core Xeon Platinum 8260M.
 ///
 /// This engine *really executes*: it prices with native code and reports
-/// measured wall-clock time. Two kernels are available:
+/// measured wall-clock time. The kernel (CpuKernel, the "-batch" / "-vec" /
+/// "-sweep" token of the registry name) is one of:
 ///
-///   * scalar (default) -- the paper's naive comparator: per-option schedule
-///     allocation avoided via a reused buffer, but per-point O(knots) curve
-///     scans and exps exactly as the reference model performs them;
-///   * batch (config.batch_kernel) -- the batched SoA fast path
-///     (cds::BatchPricer): schedule dedup + precomputed curve grids, the
-///     host-side counterpart of the paper's dataflow restructuring. Spreads
-///     are identical to the scalar kernel (well under 1e-9 relative; see
-///     batch_pricer.hpp), so "cpu-batch" runs merge bit-identically in the
-///     sharded runtime;
-///   * vector (config.vector_kernel) -- the batch kernel with its
-///     tabulation and combine passes running on the SIMD vector kernels at
-///     the host's best level (cds/vector_kernel.hpp; AVX-512 8 lanes, AVX2
-///     4 lanes, scalar fallback). The CPU analogue of the paper's Fig. 3
+///   * reference (default, "cpu") -- the paper's naive comparator: per-option
+///     schedule allocation avoided via a reused buffer, but per-point
+///     O(knots) curve scans and exps exactly as the reference model performs
+///     them (cds::ReferencePricer);
+///   * batch ("cpu-batch") -- the batched SoA fast path (cds::BatchPricer):
+///     schedule dedup + precomputed curve grids, the host-side counterpart
+///     of the paper's dataflow restructuring, on one un-replicated lane
+///     (simd::Level::kScalar). Spreads are bit-identical to the reference
+///     kernel (see batch_pricer.hpp), so "cpu-batch" runs merge
+///     bit-identically in the sharded runtime;
+///   * vec ("cpu-vec") -- the same kernel on the SIMD lanes at the host's
+///     best level (cds/vector_kernel.hpp; AVX-512 8 lanes, AVX2 4 lanes,
+///     one lane as the fallback). The CPU analogue of the paper's Fig. 3
 ///     lane replication (hls/replicate.hpp); precision contract in
-///     cds::VectorKernelContract and docs/VECTOR_LANES.md.
+///     cds::VectorKernelContract and docs/VECTOR_LANES.md;
+///   * sweep ("cpu-sweep") -- the scenario-sweep family (cds::SweepPricer /
+///     runtime::SweepRuntime). For a plain price() call one scenario on the
+///     base curves IS the batch tabulation, so it prices exactly like vec;
+///     the kernel lets the registry and planner construct, round-trip and
+///     probe sweep candidates through the standard CPU grammar.
 ///
-/// Either kernel can additionally run in *risk mode* (config.risk_mode,
-/// registry names "cpu-risk" / "cpu-batch-risk"): the run then carries
-/// per-option CS01/IR01/Rec01/JTD (and optionally a bucketed CS01 ladder)
-/// next to the spreads -- the scalar kernel by per-option bumped repricing,
-/// the batch kernel by bumping each unique schedule grid once
+/// cpu_kernel_level() is the one kernel -> SIMD level mapping, shared with
+/// the streaming runtime. Any kernel can additionally run in *risk mode*
+/// (config.risk_mode, the "-risk" token): the run then carries per-option
+/// CS01/IR01/Rec01/JTD (and optionally a bucketed CS01 ladder) next to the
+/// spreads -- the reference kernel by per-option bumped repricing, the
+/// others by bumping each unique schedule grid once
 /// (BatchPricer::price_with_sensitivities).
 ///
 /// Threading uses OpenMP when the toolchain provides it (as in the paper)
@@ -46,30 +53,26 @@
 
 namespace cdsflow::engine {
 
+/// The CPU engine's kernel, in registry-name order.
+enum class CpuKernel { kReference, kBatch, kVec, kSweep };
+
+/// The SIMD tier a kernel's batch pricer runs at: kScalar for kReference and
+/// kBatch, simd::active_level() (the host's best, clamped by CDSFLOW_SIMD)
+/// for kVec and kSweep. On a host without SIMD support -- or under
+/// CDSFLOW_SIMD=scalar / -DCDSFLOW_DISABLE_SIMD -- every kernel runs
+/// kScalar, so vec prices exactly like batch, bit for bit.
+cds::simd::Level cpu_kernel_level(CpuKernel kernel);
+
 struct CpuEngineConfig {
   /// Worker threads; 0 selects std::thread::hardware_concurrency().
   unsigned threads = 1;
-  /// Price with the batched SoA fast-path kernel instead of the scalar
-  /// reference math. The scalar path survives (flag off) as the paper's
-  /// naive comparator and for parity checks.
-  bool batch_kernel = false;
-  /// Run the batch kernel's tabulation/combine passes on the SIMD vector
-  /// kernels at simd::active_level() (registry name "cpu-vec[...]"; implies
-  /// batch semantics, batch_kernel need not also be set). On a host without
-  /// SIMD support -- or under CDSFLOW_SIMD=scalar / -DCDSFLOW_DISABLE_SIMD
-  /// -- this degrades to exactly the batch kernel, bit for bit.
-  bool vector_kernel = false;
-  /// Registry name "cpu-sweep[...]": the scenario-sweep family
-  /// (cds::SweepPricer / runtime::SweepRuntime). For a plain price() call a
-  /// sweep engine is the vector kernel, bit for bit -- one scenario on the
-  /// base curves IS the batch tabulation -- so the flag only changes the
-  /// name and lets the registry/planner construct, round-trip and probe
-  /// sweep candidates through the standard CPU grammar.
-  bool sweep_kernel = false;
+  /// Which kernel prices (see the file comment). The reference kernel
+  /// survives as the paper's naive comparator and for parity checks.
+  CpuKernel kernel = CpuKernel::kReference;
   /// Compute per-option sensitivities (CS01/IR01/Rec01/JTD, plus the CS01
   /// ladder when ladder_edges is set) instead of spreads alone. With the
-  /// scalar kernel this loops compute_sensitivities/cs01_ladder per option
-  /// (the naive post-pricing workflow); with the batch kernel it runs
+  /// reference kernel this loops compute_sensitivities/cs01_ladder per
+  /// option (the naive post-pricing workflow); with the others it runs
   /// BatchPricer::price_with_sensitivities over the precomputed grids.
   /// run.results still carries (id, spread), so risk runs merge through the
   /// sharded runtime unchanged.
@@ -91,11 +94,9 @@ class CpuEngine final : public Engine {
   PricingRun price(std::span<const cds::CdsOption> options) override;
 
   unsigned threads() const { return threads_; }
-  bool batch_kernel() const { return batch_; }
-  bool vector_kernel() const { return vector_; }
-  bool sweep_kernel() const { return sweep_; }
-  /// The SIMD tier the vector kernel actually runs at (kScalar unless
-  /// vector_kernel(); post hardware/CDSFLOW_SIMD clamp).
+  CpuKernel kernel() const { return kernel_; }
+  /// The SIMD tier the batch pricer actually runs at (cpu_kernel_level,
+  /// post hardware clamp; kScalar for the reference kernel).
   cds::simd::Level kernel_level() const { return kernel_level_; }
   bool risk_mode() const { return risk_; }
 
@@ -120,7 +121,7 @@ class CpuEngine final : public Engine {
                    Scratch& scratch) const;
 
   cds::ReferencePricer pricer_;
-  /// Present only when the batch kernel is selected.
+  /// Present unless the reference kernel is selected.
   std::unique_ptr<cds::BatchPricer> batch_pricer_;
   /// One scratch per concurrent chunk, kept warm across price() calls (an
   /// engine object is never priced on concurrently; replicas are separate
@@ -128,9 +129,7 @@ class CpuEngine final : public Engine {
   std::vector<Scratch> scratch_;
   cds::BatchRiskConfig risk_config_;
   unsigned threads_;
-  bool batch_ = false;
-  bool vector_ = false;
-  bool sweep_ = false;
+  CpuKernel kernel_ = CpuKernel::kReference;
   bool risk_ = false;
   cds::simd::Level kernel_level_ = cds::simd::Level::kScalar;
 };

@@ -186,9 +186,8 @@ std::vector<BackendCandidate> enumerate_backends(
       probe_sets.push_back(workload::mc_hazard_scenarios(hazard, size));
     }
     for (const unsigned t : threads) {
-      const std::string name = cpu_engine_name(
-          /*batch_kernel=*/false, /*vector_kernel=*/false,
-          /*sweep_kernel=*/true, /*risk_mode=*/false, t);
+      const std::string name =
+          cpu_engine_name(CpuKernel::kSweep, /*risk_mode=*/false, t);
       runtime::SweepRuntimeConfig rt_config;
       rt_config.workers = t;
       rt_config.level = cds::simd::active_level();
@@ -214,13 +213,14 @@ std::vector<BackendCandidate> enumerate_backends(
 
   for (const unsigned t : threads) {
     std::vector<std::string> names;
-    names.push_back(cpu_engine_name(false, config.risk_mode, t));
+    names.push_back(
+        cpu_engine_name(CpuKernel::kReference, config.risk_mode, t));
     if (config.probe_cpu_batch) {
-      names.push_back(cpu_engine_name(true, config.risk_mode, t));
+      names.push_back(cpu_engine_name(CpuKernel::kBatch, config.risk_mode, t));
     }
     if (config.probe_cpu_vec &&
-        cds::simd::active_level() != cds::simd::Level::kScalar) {
-      names.push_back(cpu_engine_name(true, true, config.risk_mode, t));
+        cpu_kernel_level(CpuKernel::kVec) != cds::simd::Level::kScalar) {
+      names.push_back(cpu_engine_name(CpuKernel::kVec, config.risk_mode, t));
     }
     for (const auto& name : names) {
       probe_candidate(name, config.cpu_power.watts(t), /*simulated=*/false);

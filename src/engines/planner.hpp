@@ -143,9 +143,9 @@ struct PlannerConfig {
   /// specific logic, the probe->affine-fit pipeline prices the lane win by
   /// measuring it.
   bool probe_cpu_vec = true;
-  /// Probe the CPU candidates in risk mode ("cpu[-batch]-risk[-mtN]") and
-  /// skip the simulated candidates (they only price). Risk details (bump,
-  /// ladder edges) ride in `cpu`.
+  /// Probe the CPU candidates in risk mode ("cpu[-batch|-vec]-risk[-mtN]")
+  /// and skip the simulated candidates (they only price). Risk details
+  /// (bump, ladder edges) ride in `cpu`.
   bool risk_mode = false;
   /// Plan the scenario-sweep workload instead of the batch-pricing one:
   /// enumerate_backends() probes "cpu-sweep[-mtN]" candidates only (a
@@ -163,7 +163,7 @@ struct PlannerConfig {
   /// only the scenario count varies.
   std::size_t sweep_probe_options = 256;
   /// Forwarded to every CPU candidate (and into the planned RuntimeConfig):
-  /// risk bump size, ladder edges. batch_kernel/risk_mode/threads are
+  /// risk bump size, ladder edges. kernel/risk_mode/threads are
   /// overridden by each candidate's registry name.
   CpuEngineConfig cpu;
   /// FPGA engine counts to consider (empty: 1..max that fit the device).

@@ -25,6 +25,9 @@ bool parse_suffix_uint(const std::string& s, const std::string& prefix,
   return ec == std::errc{} && ptr == end && out >= 1;
 }
 
+/// Kernel tokens of the CPU grammar, in CpuKernel order ("" = reference).
+constexpr const char* kKernelTokens[] = {"", "-batch", "-vec", "-sweep"};
+
 }  // namespace
 
 bool parse_cpu_engine_name(const std::string& name, CpuEngineConfig& config) {
@@ -38,12 +41,14 @@ bool parse_cpu_engine_name(const std::string& name, CpuEngineConfig& config) {
     cpu_name = "cpu" + cpu_name.substr(prefix.size());
     return true;
   };
-  if (strip_token("cpu-batch")) {
-    cfg.batch_kernel = true;
-  } else if (strip_token("cpu-vec")) {
-    cfg.vector_kernel = true;  // implies batch semantics in CpuEngine
-  } else if (strip_token("cpu-sweep")) {
-    cfg.sweep_kernel = true;  // implies vector semantics in CpuEngine
+  cfg.kernel = CpuKernel::kReference;
+  for (const auto kernel :
+       {CpuKernel::kBatch, CpuKernel::kVec, CpuKernel::kSweep}) {
+    if (strip_token(std::string("cpu") +
+                    kKernelTokens[static_cast<int>(kernel)])) {
+      cfg.kernel = kernel;
+      break;
+    }
   }
   if (strip_token("cpu-risk")) cfg.risk_mode = true;
   unsigned n = 0;
@@ -60,17 +65,10 @@ bool parse_cpu_engine_name(const std::string& name, CpuEngineConfig& config) {
   return true;
 }
 
-std::string cpu_engine_name(bool batch_kernel, bool vector_kernel,
-                            bool sweep_kernel, bool risk_mode,
+std::string cpu_engine_name(CpuKernel kernel, bool risk_mode,
                             unsigned threads) {
-  std::string name = "cpu";
-  if (sweep_kernel) {
-    name += "-sweep";
-  } else if (vector_kernel) {
-    name += "-vec";
-  } else if (batch_kernel) {
-    name += "-batch";
-  }
+  std::string name =
+      std::string("cpu") + kKernelTokens[static_cast<int>(kernel)];
   if (risk_mode) name += "-risk";
   if (threads == 0) {
     name += "-mt";
@@ -78,18 +76,6 @@ std::string cpu_engine_name(bool batch_kernel, bool vector_kernel,
     name += "-mt" + std::to_string(threads);
   }
   return name;
-}
-
-std::string cpu_engine_name(bool batch_kernel, bool vector_kernel,
-                            bool risk_mode, unsigned threads) {
-  return cpu_engine_name(batch_kernel, vector_kernel, /*sweep_kernel=*/false,
-                         risk_mode, threads);
-}
-
-std::string cpu_engine_name(bool batch_kernel, bool risk_mode,
-                            unsigned threads) {
-  return cpu_engine_name(batch_kernel, /*vector_kernel=*/false,
-                         /*sweep_kernel=*/false, risk_mode, threads);
 }
 
 std::unique_ptr<Engine> make_engine(const std::string& name,

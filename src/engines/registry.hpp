@@ -33,11 +33,15 @@
 ///   "cluster-<M>x<N>"       M cards of N vectorised engines each
 ///
 /// The CPU family name is assembled as
-/// "cpu[-batch|-vec|-sweep][-risk][-mt[N]]": the optional "-batch" token
-/// selects the fast-path kernel, "-vec" the same kernel on the SIMD lanes,
-/// "-sweep" the scenario-sweep family, "-risk" switches the run to
-/// sensitivities, "-mt[N]" sets the thread count. Risk-mode details (bump
-/// size, ladder edges) ride in the CpuEngineConfig argument.
+/// "cpu[-batch|-vec|-sweep][-risk][-mt[N]]": the optional kernel token picks
+/// the CpuKernel ("-batch" the fast-path kernel, "-vec" the same kernel on
+/// the SIMD lanes, "-sweep" the scenario-sweep family, none the reference
+/// kernel), "-risk" switches the run to sensitivities, "-mt[N]" sets the
+/// thread count. Risk-mode details (bump size, ladder edges) ride in the
+/// CpuEngineConfig argument. parse_cpu_engine_name and cpu_engine_name are
+/// the grammar's only two homes: every CPU name in the tree -- the engines'
+/// own name(), the planner's candidates, the stream and cluster runtimes --
+/// goes through them.
 ///
 /// Determinism guarantee: engine construction is pure (no global state), and
 /// every engine the registry returns prices deterministically for a fixed
@@ -67,33 +71,19 @@ std::unique_ptr<Engine> make_engine(const std::string& name,
                                     const CpuEngineConfig& cpu_config = {});
 
 /// Parses a "cpu[-batch|-vec|-sweep][-risk][-mt[N]]" family name into
-/// `config` (batch_kernel / vector_kernel / sweep_kernel / risk_mode /
-/// threads; other fields are left untouched). Returns false -- leaving `config` unmodified -- when
-/// `name` is not a CPU-family name. The one home of the CPU name grammar:
-/// make_engine uses it, and the streaming runtime reuses it so
-/// `cdsflow_cli stream` accepts the same engine names (risk mode included)
-/// as the batch commands.
+/// `config`: kernel and threads from the name, risk_mode set by "-risk" (a
+/// config that already has it keeps it); other fields are left untouched.
+/// Returns false -- leaving `config` unmodified -- when `name` is not a
+/// CPU-family name. make_engine uses it, and the streaming runtime reuses it
+/// so `cdsflow_cli stream` accepts the same engine names (risk mode
+/// included) as the batch commands.
 bool parse_cpu_engine_name(const std::string& name, CpuEngineConfig& config);
 
-/// Assembles the "cpu[-batch|-vec|-sweep][-risk][-mt[N]]" family name for
-/// the given kernel/mode/thread count -- the inverse of
-/// parse_cpu_engine_name (threads == 1 omits the -mt token, threads == 0
-/// means all hardware threads, "-mt"; sweep_kernel wins over vector_kernel
-/// wins over batch_kernel, as in CpuEngine::name). The planner uses it to
-/// build its CPU candidate names.
-std::string cpu_engine_name(bool batch_kernel, bool vector_kernel,
-                            bool sweep_kernel, bool risk_mode,
-                            unsigned threads);
-
-/// Pre-sweep-kernel spelling: the 5-argument form with sweep_kernel =
-/// false.
-std::string cpu_engine_name(bool batch_kernel, bool vector_kernel,
-                            bool risk_mode, unsigned threads);
-
-/// Pre-vector-kernel spelling, kept so existing call sites read unchanged:
-/// cpu_engine_name(batch, risk, threads) == the 4-argument form with
-/// vector_kernel = false.
-std::string cpu_engine_name(bool batch_kernel, bool risk_mode,
+/// Assembles the "cpu[-batch|-vec|-sweep][-risk][-mt[N]]" family name -- the
+/// inverse of parse_cpu_engine_name (threads == 1 omits the -mt token,
+/// threads == 0 means all hardware threads, "-mt"). CpuEngine::name() and
+/// the planner's CPU candidates are built with it.
+std::string cpu_engine_name(CpuKernel kernel, bool risk_mode,
                             unsigned threads);
 
 /// All fixed registry names (the parametrised multi-N/cpu-mtN forms are

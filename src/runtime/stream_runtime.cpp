@@ -61,31 +61,34 @@ std::chrono::nanoseconds us_to_duration(std::uint64_t us) {
 
 }  // namespace
 
+cds::StreamPricerConfig stream_pricer_config(const StreamConfig& config) {
+  engine::CpuEngineConfig cpu;
+  CDSFLOW_EXPECT(engine::parse_cpu_engine_name(config.engine, cpu),
+                 "stream runtime needs a CPU-family engine name "
+                 "(cpu[-batch|-vec|-sweep][-risk][-mt[N]]); simulated engines "
+                 "price through the batch runtime");
+  cds::StreamPricerConfig pricer;
+  pricer.risk_mode = cpu.risk_mode;
+  pricer.risk_bump = config.risk_bump;
+  pricer.ladder_edges = config.ladder_edges;
+  pricer.kernel_level = engine::cpu_kernel_level(cpu.kernel);
+  return pricer;
+}
+
 StreamRuntime::StreamRuntime(cds::TermStructure interest,
                              cds::TermStructure hazard, StreamConfig config)
     : config_(std::move(config)),
       queue_(config_.queue_capacity, config_.policy) {
   CDSFLOW_EXPECT(config_.max_batch > 0, "max_batch must be positive");
-
-  // The engine name reuses the registry's CPU grammar: "-risk" switches the
-  // micro-batches to Greeks, "-mt[N]" is an alternate way to set the lanes.
-  engine::CpuEngineConfig cpu;
-  CDSFLOW_EXPECT(engine::parse_cpu_engine_name(config_.engine, cpu),
-                 "stream runtime needs a CPU-family engine name "
-                 "(cpu[-batch|-vec][-risk][-mt[N]]); simulated engines price "
-                 "through the batch runtime");
-  pricer_config_.risk_mode = cpu.risk_mode;
-  pricer_config_.risk_bump = config_.risk_bump;
-  pricer_config_.ladder_edges = config_.ladder_edges;
-  if (cpu.vector_kernel) {
-    pricer_config_.kernel_level = cds::simd::active_level();
-  }
+  pricer_config_ = stream_pricer_config(config_);
 
   unsigned lanes = config_.lanes;
   if (lanes == 0 && config_.engine.find("-mt") != std::string::npos) {
     // Keyed on the token, not the parsed thread count, so an explicit
     // "-mt1" really means one lane ("cpu" with no token also parses to
     // threads == 1 but should default to all cores below).
+    engine::CpuEngineConfig cpu;
+    engine::parse_cpu_engine_name(config_.engine, cpu);  // checked above
     lanes = cpu.threads;  // "-mt" leaves 0 = all cores, "-mtN" sets N
   }
   if (lanes == 0) lanes = std::max(1u, std::thread::hardware_concurrency());

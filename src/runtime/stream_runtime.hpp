@@ -71,11 +71,13 @@
 namespace cdsflow::runtime {
 
 struct StreamConfig {
-  /// CPU-family engine name, "cpu[-batch][-risk][-mt[N]]" (the stream lanes
-  /// always run the batched grid kernel -- values are identical across the
-  /// CPU kernels -- so the name's significant parts are "-risk", which
-  /// switches the micro-batches to Greeks, and "-mt[N]", which sets the
-  /// lane count when `lanes` is 0).
+  /// CPU-family engine name, "cpu[-batch|-vec|-sweep][-risk][-mt[N]]". The
+  /// stream lanes always run the batched grid kernel; the kernel token sets
+  /// its SIMD level through engine::cpu_kernel_level ("cpu" and "-batch"
+  /// kScalar, "-vec" and "-sweep" the host's best), so a one-lane stream
+  /// prices bit-identically to the engine of the same name. "-risk"
+  /// switches the micro-batches to Greeks, and "-mt[N]" sets the lane count
+  /// when `lanes` is 0.
   std::string engine = "cpu-batch";
   /// Pricer lanes (= replicas). 0: take the engine name's -mtN, else
   /// hardware_concurrency.
@@ -92,6 +94,14 @@ struct StreamConfig {
   double risk_bump = 1e-4;
   std::vector<double> ladder_edges;
 };
+
+/// The pricer every lane of a stream with `config` runs: risk mode from the
+/// engine name's "-risk" token, the SIMD level from its kernel
+/// (engine::cpu_kernel_level), bump and ladder edges from `config`. Throws
+/// cdsflow::Error for a name outside the CPU grammar. Shared by
+/// StreamRuntime and the service's fit calibration, so a calibrated lane
+/// prices like a live one.
+cds::StreamPricerConfig stream_pricer_config(const StreamConfig& config);
 
 /// Per micro-batch accounting, in batch (= event) order.
 struct StreamBatchOutcome {

@@ -5,7 +5,7 @@
 
 #include "cds/stream_pricer.hpp"
 #include "common/error.hpp"
-#include "engines/registry.hpp"
+#include "engines/planner.hpp"
 #include "net/codec.hpp"
 #include "workload/options.hpp"
 
@@ -17,16 +17,8 @@ engine::BackendCandidate calibrate_stream_fit(
     const std::vector<std::size_t>& probe_sizes) {
   CDSFLOW_EXPECT(!probe_sizes.empty(), "calibration needs probe sizes");
 
-  engine::CpuEngineConfig cpu;
-  CDSFLOW_EXPECT(engine::parse_cpu_engine_name(stream.engine, cpu),
-                 "calibration needs a CPU-family engine name");
-  cds::StreamPricerConfig pricer_config;
-  pricer_config.risk_mode = cpu.risk_mode;
-  pricer_config.risk_bump = stream.risk_bump;
-  pricer_config.ladder_edges = stream.ladder_edges;
-  if (cpu.vector_kernel) {
-    pricer_config.kernel_level = cds::simd::active_level();
-  }
+  const cds::StreamPricerConfig pricer_config =
+      runtime::stream_pricer_config(stream);
 
   // The planner's probe protocol (one warmup, best of two timed repeats)
   // against the exact pricer a tenant lane will run. A fresh pricer per

@@ -74,37 +74,31 @@ TEST(CpuEngine, ZeroThreadsSelectsHardwareConcurrency) {
 }
 
 TEST(Registry, CpuEngineNameRoundTripsThroughParse) {
-  for (const bool batch : {false, true}) {
+  const auto s = workload::smoke_scenario(4);
+  for (const CpuKernel kernel : {CpuKernel::kReference, CpuKernel::kBatch,
+                                 CpuKernel::kVec, CpuKernel::kSweep}) {
     for (const bool risk : {false, true}) {
       for (const unsigned threads : {0u, 1u, 2u, 24u}) {
-        const std::string name = cpu_engine_name(batch, risk, threads);
+        const std::string name = cpu_engine_name(kernel, risk, threads);
         CpuEngineConfig config;
         ASSERT_TRUE(parse_cpu_engine_name(name, config)) << name;
-        EXPECT_EQ(config.batch_kernel, batch) << name;
+        EXPECT_EQ(config.kernel, kernel) << name;
         EXPECT_EQ(config.risk_mode, risk) << name;
         EXPECT_EQ(config.threads, threads) << name;
+        // "-mt" (threads == 0) resolves to the host's thread count, so only
+        // explicit counts name the engine exactly as asked.
+        if (threads >= 1) {
+          EXPECT_EQ(make_engine(name, s.interest, s.hazard)->name(), name);
+        }
       }
     }
   }
-  EXPECT_EQ(cpu_engine_name(false, false, 1), "cpu");
-  EXPECT_EQ(cpu_engine_name(true, true, 8), "cpu-batch-risk-mt8");
-}
-
-TEST(Registry, SweepEngineNameRoundTripsThroughParse) {
-  for (const unsigned threads : {0u, 1u, 2u, 24u}) {
-    const std::string name =
-        cpu_engine_name(/*batch_kernel=*/false, /*vector_kernel=*/false,
-                        /*sweep_kernel=*/true, /*risk_mode=*/false, threads);
-    CpuEngineConfig config;
-    ASSERT_TRUE(parse_cpu_engine_name(name, config)) << name;
-    EXPECT_TRUE(config.sweep_kernel) << name;
-    EXPECT_FALSE(config.batch_kernel) << name;
-    EXPECT_FALSE(config.vector_kernel) << name;
-    EXPECT_EQ(config.threads, threads) << name;
-  }
-  EXPECT_EQ(cpu_engine_name(false, false, true, false, 1), "cpu-sweep");
-  EXPECT_EQ(cpu_engine_name(false, false, true, false, 0), "cpu-sweep-mt");
-  EXPECT_EQ(cpu_engine_name(false, false, true, false, 8), "cpu-sweep-mt8");
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kReference, false, 1), "cpu");
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kBatch, true, 8),
+            "cpu-batch-risk-mt8");
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kSweep, false, 1), "cpu-sweep");
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kSweep, false, 0), "cpu-sweep-mt");
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kSweep, false, 8), "cpu-sweep-mt8");
 }
 
 TEST(Registry, SweepEngineConstructsAndPricesLikeVec) {

@@ -15,6 +15,7 @@
 #include "cds/batch_pricer.hpp"
 #include "cds/stream_pricer.hpp"
 #include "common/error.hpp"
+#include "engines/registry.hpp"
 #include "runtime/ingest_queue.hpp"
 #include "runtime/stream_runtime.hpp"
 #include "workload/curves.hpp"
@@ -449,6 +450,38 @@ TEST(StreamRuntime, RiskModeStreamsGreeks) {
   }
   for (std::size_t i = 0; i < report.run.cs01_ladder.size(); ++i) {
     EXPECT_EQ(report.run.cs01_ladder[i], want.cs01_ladder[i]);
+  }
+}
+
+TEST(StreamRuntime, SweepStreamPricesLikeTheSweepEngine) {
+  // A stream's kernel token sets its lanes' SIMD level exactly as it sets
+  // the engine's: a one-lane "cpu-sweep" stream must reproduce the
+  // "cpu-sweep" engine bit for bit (at a vector level a kScalar lane would
+  // differ in the last bits of some spreads). Continuous maturities give
+  // every option its own grid, so every column tail is exercised.
+  const auto interest = test_interest();
+  const auto hazard = test_hazard();
+  workload::QuoteFeedSpec spec;
+  spec.events = 512;
+  spec.seed = 31;
+  const auto feed = workload::make_quote_feed(spec, hazard);
+  std::vector<cds::CdsOption> book;
+  for (const auto& event : feed) book.push_back(event.option);
+
+  runtime::StreamConfig cfg;
+  cfg.engine = "cpu-sweep";
+  cfg.lanes = 1;
+  cfg.max_batch = 100;
+  runtime::StreamRuntime rt(interest, hazard, cfg);
+  const auto report = rt.play(feed);
+  const auto want =
+      engine::make_engine("cpu-sweep", interest, hazard)->price(book);
+
+  ASSERT_EQ(report.run.results.size(), want.results.size());
+  for (std::size_t i = 0; i < want.results.size(); ++i) {
+    EXPECT_EQ(report.run.results[i].id, want.results[i].id) << "at " << i;
+    EXPECT_EQ(report.run.results[i].spread_bps, want.results[i].spread_bps)
+        << "at " << i;
   }
 }
 

@@ -162,6 +162,24 @@ TEST(StreamPricer, UpdateValidation) {
       Error);
 }
 
+TEST(StreamPricer, InvalidOptionLeavesTheGridCacheUsable) {
+  // The cache persists across calls, so a batch that throws part-way
+  // through dedup must not leave it inconsistent: later batches, including
+  // the grids the failed batch registered, still match the batch kernel.
+  const auto interest = test_interest();
+  const auto hazard = test_hazard();
+  cds::StreamPricer stream(interest, hazard);
+  const auto book = continuous_book(40, 77);
+  std::vector<cds::CdsOption> bad(book.begin(), book.begin() + 20);
+  bad.push_back(cds::CdsOption{999, -1.0, 4.0, 0.4});
+  std::vector<cds::SpreadResult> out(bad.size());
+  EXPECT_THROW(stream.price(bad, out), Error);
+
+  const cds::BatchPricer batch(interest, hazard);
+  expect_identical(stream_price(stream, book, 7), batch.price(book));
+  EXPECT_EQ(stream.stats().cached_grids, book.size());
+}
+
 TEST(StreamPricer, RiskModeMatchesBatchRiskKernelAcrossUpdates) {
   const auto interest = test_interest();
   auto hazard = test_hazard();

@@ -3,7 +3,8 @@
 /// cds::VectorKernelContract, prose in docs/VECTOR_LANES.md): runtime
 /// dispatch and the lane map, the exp ulp bound, column parity against the
 /// scalar reference, alignment invariance of vector-level columns, the
-/// bit-exact spread combine, the bit-identical kScalar fallback, randomized
+/// bit-exact spread combine, kScalar bit-identical to the reference pricers
+/// (columns, spreads, Greeks, ladder), randomized
 /// vec-vs-scalar batch and risk parity across book shapes and knot counts,
 /// stream bit-consistency across incremental hazard updates, the registry
 /// name grammar, and planner enumeration of the cpu-vec candidates.
@@ -22,6 +23,7 @@
 #include "cds/hazard.hpp"
 #include "cds/precision.hpp"
 #include "cds/pricer.hpp"
+#include "cds/risk.hpp"
 #include "cds/schedule.hpp"
 #include "cds/stream_pricer.hpp"
 #include "cds/types.hpp"
@@ -185,8 +187,7 @@ TEST(VectorKernel, ColumnsMatchReferenceWithinUlpBound) {
     for (const Level level : available_vector_levels()) {
       SCOPED_TRACE(cds::simd::to_string(level));
       std::vector<double> q(points.size()), d(points.size());
-      cds::simd::tabulate_columns(interest, prefix, points, d, q,
-                                  /*refresh_discount=*/true, level);
+      cds::simd::tabulate_columns(interest, prefix, points, d, q, level);
       for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_LE(ulp_distance(q[i], ref_q[i]),
                   VectorKernelContract::kExpUlpBound)
@@ -265,28 +266,75 @@ TEST(VectorKernel, CombineSpreadsBitExactAtEveryLevel) {
   }
 }
 
-// --- the kScalar fallback (bit-identical, not merely within tolerance) ------
+// --- the kScalar level (bit-identical to the reference, not merely within
+// tolerance) ---------------------------------------------------------------
 
-TEST(VectorKernel, ScalarLevelIsBitIdenticalToBatchKernel) {
+TEST(VectorKernel, ScalarLevelIsBitIdenticalToReference) {
+  // kScalar is the kernel's one un-replicated lane, and the column path is
+  // the kernel's only path: cds::simd must then run the reference
+  // arithmetic, so columns, spreads, Greeks and the ladder equal the
+  // reference pricers' bits exactly.
   const auto interest = workload::paper_interest_curve(64, 5);
   const auto hazard = workload::paper_hazard_curve(64, 6);
-  const auto book = continuous_book(200, 2121);
-
+  const auto prefix = cds::make_hazard_prefix(hazard);
   const BatchPricer batch(interest, hazard);
-  const BatchPricer explicit_scalar(interest, hazard, Level::kScalar);
-  EXPECT_EQ(explicit_scalar.kernel_level(), Level::kScalar);
-  const auto want = batch.price(book);
-  const auto got = explicit_scalar.price(book);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id);
-    EXPECT_EQ(got[i].spread_bps, want[i].spread_bps);
+  EXPECT_EQ(batch.kernel_level(), Level::kScalar);
+  const cds::ReferencePricer ref(interest, hazard);
+  cds::BatchRiskConfig risk_config;
+  risk_config.ladder_edges = {0.0, 1.0, 3.0, 5.0, 7.0, 10.0, 30.0};
+  const std::size_t buckets = risk_config.ladder_edges.size() - 1;
+  const std::size_t greek_rows = 300;
+
+  for (const bool continuous : {true, false}) {
+    SCOPED_TRACE(continuous ? "continuous book" : "standard-tenor book");
+    const auto book =
+        continuous ? continuous_book(2000, 2121) : tenor_book(2000, 2122);
+
+    BatchPricer::Workspace ws;
+    std::vector<cds::SpreadResult> spreads(book.size());
+    batch.price(book, spreads, ws);
+    for (std::size_t i = 0; i < ws.points.size(); ++i) {
+      const double t = ws.points[i].t;
+      ASSERT_EQ(ws.survival[i], cds::survival_probability_prefix(prefix, t))
+          << "survival point " << i;
+      ASSERT_EQ(ws.discount[i], std::exp(-interest.interpolate_fast(t) * t))
+          << "discount point " << i;
+    }
+    for (std::size_t i = 0; i < book.size(); ++i) {
+      EXPECT_EQ(spreads[i].id, book[i].id);
+      EXPECT_EQ(spreads[i].spread_bps, ref.spread_bps(book[i]))
+          << "option " << i;
+    }
+
+    const std::vector<CdsOption> rows(book.begin(), book.begin() + greek_rows);
+    const auto risk = batch.price_with_sensitivities(rows, risk_config);
+    ASSERT_EQ(risk.ladder_buckets, buckets);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      SCOPED_TRACE("option " + std::to_string(i));
+      const cds::Sensitivities want = cds::compute_sensitivities(
+          interest, hazard, rows[i], risk_config.bump);
+      const cds::Sensitivities& got = risk.sensitivities[i];
+      EXPECT_EQ(got.spread_bps, want.spread_bps);
+      EXPECT_EQ(got.cs01, want.cs01);
+      EXPECT_EQ(got.ir01, want.ir01);
+      EXPECT_EQ(got.rec01, want.rec01);
+      EXPECT_EQ(got.jtd, want.jtd);
+      const auto ladder = cds::cs01_ladder(interest, hazard, rows[i],
+                                           risk_config.ladder_edges,
+                                           risk_config.bump);
+      for (std::size_t b = 0; b < buckets; ++b) {
+        EXPECT_EQ(risk.cs01_ladder[i * buckets + b], ladder[b])
+            << "bucket " << b;
+      }
+    }
   }
 
   if (cds::simd::detect_level() == Level::kScalar) {
     // SIMD compiled out (the scalar-only CI lane) or an unsupported CPU:
     // requesting the widest level must clamp to the same bits, and the
     // cpu-vec engine must reproduce cpu-batch exactly.
+    const auto book = continuous_book(200, 2121);
+    const auto want = batch.price(book);
     const BatchPricer clamped(interest, hazard, Level::kAvx512);
     EXPECT_EQ(clamped.kernel_level(), Level::kScalar);
     const auto clamped_run = clamped.price(book);
@@ -472,31 +520,31 @@ TEST(VectorKernel, EngineParityAndThreadInvariance) {
 TEST(VectorKernel, RegistryNameGrammarRoundTrips) {
   engine::CpuEngineConfig config;
   ASSERT_TRUE(engine::parse_cpu_engine_name("cpu-vec", config));
-  EXPECT_TRUE(config.vector_kernel);
-  EXPECT_FALSE(config.batch_kernel);
+  EXPECT_EQ(config.kernel, engine::CpuKernel::kVec);
   EXPECT_FALSE(config.risk_mode);
   EXPECT_EQ(config.threads, 1u);
 
   config = {};
   ASSERT_TRUE(engine::parse_cpu_engine_name("cpu-vec-risk-mt8", config));
-  EXPECT_TRUE(config.vector_kernel);
+  EXPECT_EQ(config.kernel, engine::CpuKernel::kVec);
   EXPECT_TRUE(config.risk_mode);
   EXPECT_EQ(config.threads, 8u);
 
   config = {};
   ASSERT_TRUE(engine::parse_cpu_engine_name("cpu-vec-mt", config));
-  EXPECT_TRUE(config.vector_kernel);
+  EXPECT_EQ(config.kernel, engine::CpuKernel::kVec);
   EXPECT_EQ(config.threads, 0u);  // all hardware threads
 
   config = {};
   EXPECT_FALSE(engine::parse_cpu_engine_name("cpu-vectorised", config));
-  EXPECT_FALSE(config.vector_kernel);
+  EXPECT_EQ(config.kernel, engine::CpuKernel::kReference);
 
-  EXPECT_EQ(engine::cpu_engine_name(false, true, false, 1), "cpu-vec");
-  EXPECT_EQ(engine::cpu_engine_name(true, true, true, 8), "cpu-vec-risk-mt8");
-  EXPECT_EQ(engine::cpu_engine_name(true, false, false, 2), "cpu-batch-mt2");
-  // The legacy 3-argument spelling still means vector_kernel = false.
-  EXPECT_EQ(engine::cpu_engine_name(true, true, 8), "cpu-batch-risk-mt8");
+  EXPECT_EQ(engine::cpu_engine_name(engine::CpuKernel::kVec, false, 1),
+            "cpu-vec");
+  EXPECT_EQ(engine::cpu_engine_name(engine::CpuKernel::kVec, true, 8),
+            "cpu-vec-risk-mt8");
+  EXPECT_EQ(engine::cpu_engine_name(engine::CpuKernel::kBatch, false, 2),
+            "cpu-batch-mt2");
 
   const auto names = engine::engine_names();
   for (const char* name : {"cpu-vec", "cpu-vec-mt", "cpu-vec-risk"}) {

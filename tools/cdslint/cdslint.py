@@ -29,6 +29,12 @@ the CI lint job. Rules:
                      everywhere except the deliberate reduced-precision
                      emulation in src/cds/precision.* (the paper's kSingle
                      study), which is allowlisted.
+  level-fork         No comparison with simd::Level::kScalar in src/cds
+                     outside the vector_kernel* files: the SIMD level is a
+                     parameter of the cds::simd calls, whose kScalar path
+                     is the scalar reference arithmetic, so a pricer that
+                     branches on it grows a second, hand-fused copy of the
+                     column path (docs/VECTOR_LANES.md).
   bench-json-keys    Every metric key bench_diff.py tracks must be written
                      by some bench source under that exact name, and every
                      tracked BENCH_*.json must be produced by the CI bench
@@ -358,6 +364,36 @@ def rule_float_in_cds(root: Path):
 
 
 # --------------------------------------------------------------------------
+# rule: level-fork
+
+# Binary operators are clang-formatted with spaces on both sides; requiring
+# them keeps template arguments such as `<Level::kScalar>` out of the match.
+COMPARE_OP = r"(?:==|!=|<=|>=|<|>)"
+LEVEL_COMPARE = re.compile(
+    r"\s" + COMPARE_OP + r"\s*(?:[A-Za-z_]\w*::)*Level::kScalar\b"
+    r"|\bLevel::kScalar\s*" + COMPARE_OP + r"\s")
+
+
+def rule_level_fork(root: Path):
+    violations = []
+    cds = root / "src" / "cds"
+    if not cds.is_dir():
+        return []
+    for path in sorted(cds.rglob("*.[hc]pp")):
+        if path.name.startswith("vector_kernel"):
+            continue
+        stripped = strip_cpp(read(path))
+        for lineno, line in iter_lines(stripped):
+            if LEVEL_COMPARE.search(line):
+                violations.append(Violation(
+                    "level-fork", path, lineno,
+                    "comparison with Level::kScalar outside cds::simd: pass "
+                    "the level to the cds::simd call instead; its kScalar "
+                    "path already runs the scalar reference arithmetic"))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # rule: bench-json-keys
 
 METRIC_FILE = re.compile(r'^\s*"(BENCH_[^"]+\.json)"\s*:')
@@ -424,6 +460,7 @@ RULES = {
     "raw-primitives": rule_raw_primitives,
     "codec-bounds": rule_codec_bounds,
     "float-in-cds": rule_float_in_cds,
+    "level-fork": rule_level_fork,
     "bench-json-keys": rule_bench_json_keys,
 }
 
