@@ -13,7 +13,11 @@
 ///     measured on this book;
 ///   - "standard-tenor": 5 grids for the whole book, cost is
 ///     combine-dominated.
-/// A risk section repeats the comparison for the batched Greeks pass.
+/// A risk section repeats the comparison for the batched Greeks pass, and
+/// `shard64_vs_whole` prices the continuous book again as consecutive
+/// 64-option spans on one warm workspace -- the runtime's intraday shard
+/// shape -- over the whole-book time: what a per-call cost the whole-book
+/// call amortises adds back at shard size (1.0 means none).
 ///
 /// Parity is asserted, not just reported: every vector spread must match the
 /// scalar kernel within VectorKernelContract::kSpreadRelTol or the bench
@@ -29,6 +33,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -92,6 +97,26 @@ BookResult run_book(const std::string& name, const cds::BatchPricer& scalar,
   return out;
 }
 
+/// Best-of-repeats time to price `book` as consecutive `span`-option calls
+/// on one workspace, warmed by the first repeat.
+double time_spans(const cds::BatchPricer& pricer,
+                  const std::vector<cds::CdsOption>& book, std::size_t span) {
+  cds::BatchPricer::Workspace ws;
+  std::vector<cds::SpreadResult> out(book.size());
+  const auto options = std::span<const cds::CdsOption>(book);
+  const auto results = std::span<cds::SpreadResult>(out);
+  double best = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t begin = 0; begin < book.size(); begin += span) {
+      const std::size_t n = std::min(span, book.size() - begin);
+      pricer.price(options.subspan(begin, n), results.subspan(begin, n), ws);
+    }
+    best = std::min(best, seconds_since(t0));
+  }
+  return best;
+}
+
 /// Best-of-repeats risk pass (spreads + CS01/IR01/Rec01/JTD + 4-bucket
 /// ladder) with a warmed workspace.
 double time_risk(const cds::BatchPricer& pricer,
@@ -135,9 +160,9 @@ int main(int argc, char** argv) {
   workload::PortfolioSpec tenor = continuous;
   tenor.maturity_tenor_grid = {1.0, 3.0, 5.0, 7.0, 10.0};
 
+  const auto continuous_book = workload::make_portfolio(continuous);
   std::vector<BookResult> results;
-  results.push_back(run_book("continuous", scalar, vector,
-                             workload::make_portfolio(continuous)));
+  results.push_back(run_book("continuous", scalar, vector, continuous_book));
   results.push_back(run_book("standard-tenor", scalar, vector,
                              workload::make_portfolio(tenor)));
 
@@ -157,6 +182,15 @@ int main(int argc, char** argv) {
                     cds::VectorKernelContract::kSpreadRelTol;
   }
   std::cout << table.render_text() << '\n';
+
+  // The intraday shard shape: the continuous book as 64-option calls.
+  const double shard64_seconds = time_spans(vector, continuous_book, 64);
+  const double shard64_vs_whole =
+      shard64_seconds / results.front().vector_seconds;
+  std::cout << "continuous book as 64-option spans: "
+            << fixed(shard64_seconds * 1e3, 3) << " ms vs "
+            << fixed(results.front().vector_seconds * 1e3, 3)
+            << " ms whole (" << fixed(shard64_vs_whole, 2) << "x)\n";
 
   // Batched Greeks: the risk pass re-tabulates a scenario column per bump,
   // so the lanes pay off again. Smaller book keeps the bench quick.
@@ -187,6 +221,7 @@ int main(int argc, char** argv) {
        << "  \"lanes\": " << cds::simd::lanes(level) << ",\n"
        << "  \"single_thread_speedup\": " << headline << ",\n"
        << "  \"risk_speedup\": " << risk_speedup << ",\n"
+       << "  \"shard64_vs_whole\": " << shard64_vs_whole << ",\n"
        << "  \"spread_rel_tol\": "
        << cds::VectorKernelContract::kSpreadRelTol << ",\n"
        << "  \"parity_within_contract\": " << (parity_ok ? "true" : "false")

@@ -37,9 +37,12 @@ METRICS = {
     ],
     # SIMD vector kernel vs the scalar batch kernel, single thread; the
     # risk pass reuses the tabulated columns so it tracks separately.
+    # shard64_vs_whole is the continuous book priced as 64-option calls
+    # over one whole-book call: per-call overhead at shard size.
     "BENCH_cpu_vector.json": [
         ("single_thread_speedup", True),
         ("risk_speedup", True),
+        ("shard64_vs_whole", False),
     ],
     # worst_accuracy_distance is max(ratio, 1/ratio) over the measured CPU
     # plans -- the lower-is-better distance of plan projections from 1.0x.

@@ -134,6 +134,12 @@ BatchStats BatchPricer::build_grids(std::span<const CdsOption> options,
   const std::size_t first_new = ws.grid_offset.size();
   const std::size_t n_grids = ws.grid_maturity.size();
   if (n_grids > first_new) {
+    // The knot-search tables: built on the workspace's first vector-level
+    // tabulation, rebuilt only when this pricer's knot times differ from
+    // the ones they serve. Prepared before the arena is sized: tables
+    // allocated above a first-call arena pin the heap top, and the arena's
+    // later growth then strands its freed blocks in the heap.
+    ws.search.prepare(interest_, hazard_prefix_, kernel_level_);
     // Per-grid arrays sized up front: growing them here while the arena
     // grows strands freed arena blocks in the heap, and a grid that fails
     // its annuity check leaves every per-grid array the same length.
@@ -155,7 +161,7 @@ BatchStats BatchPricer::build_grids(std::span<const CdsOption> options,
     const auto points = std::span<const TimePoint>(ws.points);
     const auto discount = std::span<double>(ws.discount);
     const auto survival = std::span<double>(ws.survival);
-    simd::tabulate_columns(interest_, hazard_prefix_,
+    simd::tabulate_columns(interest_, hazard_prefix_, ws.search,
                            points.subspan(first_point),
                            discount.subspan(first_point),
                            survival.subspan(first_point), kernel_level_);
@@ -264,6 +270,9 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
   ws.scenario_col.resize(ws.base.points.size());
   const auto points = std::span<const TimePoint>(ws.base.points);
   const auto col = std::span<double>(ws.scenario_col);
+  // Bumps move knot values, never knot times: every scenario column
+  // searches through the tables build_grids prepared for the base curves.
+  const simd::SearchTables& search = ws.base.search;
 
   // Hoisted per grid, exactly like the base pass: the annuity is
   // recovery-free under every scenario (same diagnostic as
@@ -288,17 +297,19 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
   };
 
   // Hazard parallel bumps: base discount, bumped survival.
-  simd::survival_column(hazard_up, points, col, kernel_level_);
+  simd::survival_column(hazard_up, search.hazard, points, col, kernel_level_);
   reduce_all(ws.base.discount, col,
              push_into(ws.annuity_hazard_up, ws.payoff_hazard_up));
-  simd::survival_column(hazard_dn, points, col, kernel_level_);
+  simd::survival_column(hazard_dn, search.hazard, points, col, kernel_level_);
   reduce_all(ws.base.discount, col,
              push_into(ws.annuity_hazard_dn, ws.payoff_hazard_dn));
   // Interest parallel bumps: bumped discount, base survival.
-  simd::discount_column(interest_up, points, col, kernel_level_);
+  simd::discount_column(interest_up, search.interest, points, col,
+                        kernel_level_);
   reduce_all(col, ws.base.survival,
              push_into(ws.annuity_interest_up, ws.payoff_interest_up));
-  simd::discount_column(interest_dn, points, col, kernel_level_);
+  simd::discount_column(interest_dn, search.interest, points, col,
+                        kernel_level_);
   reduce_all(col, ws.base.survival,
              push_into(ws.annuity_interest_dn, ws.payoff_interest_dn));
   // Ladder bucket bumps: base discount, bucket-bumped survival. The
@@ -309,13 +320,15 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
   ws.ladder_annuity_dn.resize(n_grids * n_buckets);
   ws.ladder_payoff_dn.resize(n_grids * n_buckets);
   for (std::size_t b = 0; b < n_buckets; ++b) {
-    simd::survival_column(bucket_up[b], points, col, kernel_level_);
+    simd::survival_column(bucket_up[b], search.hazard, points, col,
+                          kernel_level_);
     reduce_all(ws.base.discount, col,
                [&](std::size_t g, const detail::GridSums& s) {
                  ws.ladder_annuity_up[g * n_buckets + b] = s.annuity;
                  ws.ladder_payoff_up[g * n_buckets + b] = s.payoff;
                });
-    simd::survival_column(bucket_dn[b], points, col, kernel_level_);
+    simd::survival_column(bucket_dn[b], search.hazard, points, col,
+                          kernel_level_);
     reduce_all(ws.base.discount, col,
                [&](std::size_t g, const detail::GridSums& s) {
                  ws.ladder_annuity_dn[g * n_buckets + b] = s.annuity;

@@ -192,7 +192,8 @@ class BatchPricer {
   /// per call; the streaming pricer keeps one alive across calls as its
   /// grid cache (build_grids only appends). All memory is retained, so a
   /// warmed workspace makes a batch allocation-free. One workspace per
-  /// concurrent caller.
+  /// concurrent caller; any pricer may use it, since the knot-search
+  /// tables are checked against the pricer's knot times before reuse.
   struct Workspace {
     // Per option, in batch order.
     std::vector<std::uint32_t> grid_of;
@@ -215,7 +216,15 @@ class BatchPricer {
     std::unordered_map<detail::ScheduleKey, std::uint32_t,
                        detail::ScheduleKeyHash>
         dedup;
+    /// Knot-search tables (simd::SearchTables) of the last curves this
+    /// workspace tabulated at a vector level. build_grids builds them on the
+    /// first such tabulation and again only when the pricer's knot times
+    /// differ; every column over those knot times reuses them, bumped and
+    /// scenario curves included. clear() keeps them: they depend on the
+    /// curves, not the batch.
+    simd::SearchTables search;
 
+    /// Empties the grids; keeps all memory and the search tables.
     void clear();
     /// One past grid g's last point in the arena.
     std::size_t grid_end(std::size_t g) const {
@@ -226,7 +235,8 @@ class BatchPricer {
   /// Scratch for price_with_sensitivities(): the base pricing workspace
   /// plus, per unique grid, the leg sums under every bumped scenario. Same
   /// reuse contract as Workspace: one per concurrent caller, warmed across
-  /// calls.
+  /// calls. The bumped columns search through base.search: bumps move knot
+  /// values, never knot times.
   struct RiskWorkspace {
     Workspace base;
     // Per unique grid: annuity / unscaled-payoff sums under the four
@@ -311,7 +321,8 @@ class BatchPricer {
   /// paths, the scenario sweep (which builds the base grids once and
   /// re-tabulates only the moved column per scenario) and the streaming
   /// pricer. Grids already in `ws` are reused; the (maturity, frequency)
-  /// pairs it lacks are appended and tabulated in one column sweep. Fills
+  /// pairs it lacks are appended and tabulated in one column sweep, after
+  /// ws.search is prepared for this pricer's curves. Fills
   /// grid_of for `options` and everything per grid; returns stats with
   /// options set and unique_schedules / grid_points counting every grid in
   /// `ws` (on a cleared workspace, this batch's; scalar_points is left to

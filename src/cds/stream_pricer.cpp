@@ -75,17 +75,25 @@ std::size_t StreamPricer::update_hazard_quote(std::size_t knot, double rate) {
                         pricer_.kernel_level());
 
   // The affected grids get a new survival column and sums; the discount
-  // column stays (the interest curve did not move).
+  // column stays (the interest curve did not move). The knot times did not
+  // move either, so prepare() finds the cache's search tables still valid
+  // (it builds them only if nothing was tabulated yet, for the next batch).
+  // Only tabulated grids are walked: a batch that threw in dedup leaves
+  // grids registered without an offset, and build_grids tabulates those on
+  // the current curves when they are next priced.
   std::size_t retabulated = 0;
-  const std::size_t n_grids = grids_.grid_maturity.size();
+  const std::size_t n_grids = grids_.grid_offset.size();
   const auto points = std::span<const TimePoint>(grids_.points);
   const auto survival = std::span<double>(grids_.survival);
+  grids_.search.prepare(pricer_.interest(), pricer_.hazard_prefix(),
+                        pricer_.kernel_level());
   for (std::size_t g = 0; g < n_grids; ++g) {
     if (grids_.grid_maturity[g] <= affected_past) continue;
     const std::size_t begin = grids_.grid_offset[g];
     const std::size_t n = grids_.grid_end(g) - begin;
-    simd::survival_column(pricer_.hazard_prefix(), points.subspan(begin, n),
-                          survival.subspan(begin, n), pricer_.kernel_level());
+    simd::survival_column(pricer_.hazard_prefix(), grids_.search.hazard,
+                          points.subspan(begin, n), survival.subspan(begin, n),
+                          pricer_.kernel_level());
     const detail::GridSums sums = detail::finish_grid(
         points.subspan(begin, n),
         std::span<const double>(grids_.discount).subspan(begin, n),

@@ -21,7 +21,8 @@
 ///     t > tau_{k-1}. update_hazard_quote() rebuilds the O(knots) prefix
 ///     table (cheap: one multiply-add per knot, no exp) and re-tabulates
 ///     only the cached grids whose maturity extends past tau_{k-1}, reusing
-///     the discount column (the interest curve did not move). Grids at or
+///     the discount column (the interest curve did not move) and the
+///     cache's knot-search tables (the knot times did not move). Grids at or
 ///     below the threshold keep survival values that are bit-identical to
 ///     what a full rebuild would produce, because the prefix sums below the
 ///     moved knot accumulate the same terms in the same order -- so the
@@ -135,7 +136,8 @@ class StreamPricer {
   /// it.
   BatchPricer pricer_;
   /// Persistent grid cache, never cleared between batches (grid_of is
-  /// per-call scratch).
+  /// per-call scratch). Its search tables serve every pricer_ this stream
+  /// holds: a quote update replaces knot values, never knot times.
   BatchPricer::Workspace grids_;
   /// Risk mode: the Greeks kernel's workspace, warm across batches.
   BatchPricer::RiskWorkspace risk_workspace_;

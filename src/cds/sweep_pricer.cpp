@@ -225,7 +225,8 @@ void SweepPricer::sweep_rate(const ScenarioMatrix& m, std::size_t begin,
         m.rate_values.begin() +
             static_cast<std::ptrdiff_t>((s + 1) * n_rate_knots));
     const TermStructure curve(base_.interest().times(), rate_vals_);
-    simd::discount_column(curve, ws_.points, d_col_, base_.kernel_level());
+    simd::discount_column(curve, ws_.search.interest, ws_.points, d_col_,
+                          base_.kernel_level());
     finish_scenario(s, begin, d_col_, ws_.survival, aggregates, sink);
   }
 }
@@ -241,14 +242,15 @@ void SweepPricer::sweep_joint(const ScenarioMatrix& m, std::size_t begin,
     fill_hazard_prefix(base_.hazard().times(),
                        m.hazard_values.subspan(s * n_knots_, n_knots_),
                        scen_prefix_);
-    simd::survival_column(scen_prefix_, ws_.points, q_col_,
+    simd::survival_column(scen_prefix_, ws_.search.hazard, ws_.points, q_col_,
                           base_.kernel_level());
     rate_vals_.assign(
         m.rate_values.begin() + static_cast<std::ptrdiff_t>(s * n_rate_knots),
         m.rate_values.begin() +
             static_cast<std::ptrdiff_t>((s + 1) * n_rate_knots));
     const TermStructure curve(base_.interest().times(), rate_vals_);
-    simd::discount_column(curve, ws_.points, d_col_, base_.kernel_level());
+    simd::discount_column(curve, ws_.search.interest, ws_.points, d_col_,
+                          base_.kernel_level());
     finish_scenario(s, begin, d_col_, q_col_, aggregates, sink);
   }
 }

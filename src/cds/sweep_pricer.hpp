@@ -26,6 +26,10 @@
 ///   kJoint   shared: schedules, dedup, segment precompute; per scenario:
 ///            both columns.
 ///
+/// The kRate and kJoint columns search knots through the base workspace's
+/// tables (BatchPricer::Workspace::search): built once with the base grids,
+/// they serve every scenario because scenarios keep the knot times.
+///
 /// Per scenario the per-grid leg sums reduce in the scalar reference order
 /// (detail::reduce_leg_sums) and the per-option combine collapses to O(1)
 /// per *grid* for the min/max aggregates: the combine expression
@@ -194,7 +198,7 @@ class SweepPricer {
 
   BatchPricer base_;
   std::vector<CdsOption> options_;
-  BatchPricer::Workspace ws_;  ///< base grids, built once
+  BatchPricer::Workspace ws_;  ///< base grids and search tables, built once
   BatchStats book_stats_;
   std::size_t n_grids_ = 0;
   std::size_t n_knots_ = 0;       ///< hazard knots

@@ -29,14 +29,29 @@ static_assert(sizeof(SpreadResult) == 2 * sizeof(double) &&
                   offsetof(SpreadResult, spread_bps) == sizeof(double),
               "SpreadResult must be two double-slots with the spread second");
 
-PrefixView view(const HazardPrefix& prefix) {
-  return {prefix.times.data(), prefix.rates.data(), prefix.lambda.data(),
-          prefix.times.size(), SearchLut{}};
+/// The lane view of `table` for a curve of `knots` knots searched with
+/// `bound`. The kernels index the curve with the table's entries, so a table
+/// with buckets must come from a curve of the same knot count and bound;
+/// which knot times it was built for is the caller's to check
+/// (SearchTables::prepare).
+SearchLut lut_of(const SearchTable& table, std::size_t knots, Bound bound) {
+  const std::span<const std::int64_t> buckets = table.buckets();
+  if (buckets.empty()) return {};
+  CDSFLOW_ASSERT(table.knots() == knots && table.bound() == bound,
+                 "search table was built for another curve or bound");
+  return {buckets.data(), table.t0(), table.width(), 1.0 / table.width(),
+          static_cast<std::int64_t>(buckets.size())};
 }
 
-CurveView view(const TermStructure& curve) {
+PrefixView view(const HazardPrefix& prefix, const SearchTable& search) {
+  return {prefix.times.data(), prefix.rates.data(), prefix.lambda.data(),
+          prefix.times.size(),
+          lut_of(search, prefix.times.size(), Bound::kLower)};
+}
+
+CurveView view(const TermStructure& curve, const SearchTable& search) {
   return {curve.times().data(), curve.values().data(), curve.size(),
-          SearchLut{}};
+          lut_of(search, curve.size(), Bound::kUpper)};
 }
 
 /// Points the arch kernel covers: the largest multiple of the lane width.
@@ -89,54 +104,6 @@ double exp_pd_scalar(double x) {
   const double scale = std::bit_cast<double>(
       static_cast<std::uint64_t>(ni + 1023) << 52);
   return p * scale;
-}
-
-/// Builds the bucketed search-acceleration table documented on SearchLut
-/// (vector_kernel_arch.hpp): bucket width at most half the smallest knot
-/// gap, buckets[k] = the exact bound index of the anchor fma(k, width, t0).
-/// The arch kernels then resolve any query with two gathers instead of a
-/// log2(knots)-step gather chain, landing on the *identical* index.
-///
-/// Returns false -- leaving the view's table empty, so the kernels keep the
-/// plain binary search -- for degenerate curves (fewer than two knots, or a
-/// non-increasing gap) and when the required table would outgrow 8x the
-/// knot count (strongly non-uniform spacing: the build would cost more than
-/// the queries save).
-bool build_search_lut(const double* times, std::size_t n, bool upper,
-                      std::vector<std::int64_t>& buckets, SearchLut& lut) {
-  if (n < 2) return false;
-  double min_gap = times[1] - times[0];
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    const double gap = times[i + 1] - times[i];
-    min_gap = gap < min_gap ? gap : min_gap;
-  }
-  if (!(min_gap > 0.0)) return false;
-  const double range = times[n - 1] - times[0];
-  const double needed = std::ceil(range / (0.5 * min_gap)) + 1.0;
-  if (!(needed <= 8.0 * static_cast<double>(n))) return false;
-  lut.n_buckets = static_cast<std::int64_t>(needed);
-  lut.t0 = times[0];
-  lut.width = range / static_cast<double>(lut.n_buckets);
-  lut.inv_width = 1.0 / lut.width;
-  buckets.resize(static_cast<std::size_t>(lut.n_buckets));
-  const double* end = times + n;
-  for (std::int64_t k = 0; k < lut.n_buckets; ++k) {
-    const double anchor = std::fma(static_cast<double>(k), lut.width, lut.t0);
-    const double* it = upper ? std::upper_bound(times, end, anchor)
-                             : std::lower_bound(times, end, anchor);
-    buckets[static_cast<std::size_t>(k)] = it - times;
-  }
-  lut.buckets = buckets.data();
-  return true;
-}
-
-/// The table costs O(n_buckets) ~ O(knots) to build, so it only pays when
-/// the call amortises it over enough points: arena-wide tabulations (every
-/// batch/risk pass) qualify, per-grid stream re-tabulations (~tens of
-/// points against a large curve) keep the binary search. Either path
-/// produces the same indices, hence the same bits.
-bool lut_worthwhile(std::size_t n_points, std::size_t n_knots) {
-  return n_points >= 2 * n_knots;
 }
 
 Level min_level(Level a, Level b) { return a < b ? a : b; }
@@ -218,7 +185,55 @@ const char* to_string(Level level) {
   return "scalar";
 }
 
-void survival_column(const HazardPrefix& prefix,
+SearchTable::SearchTable(std::span<const double> times, Bound bound)
+    : times_(times.begin(), times.end()), bound_(bound) {
+  const std::size_t n = times.size();
+  if (n < 2) return;
+  double min_gap = times[1] - times[0];
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    const double gap = times[i + 1] - times[i];
+    min_gap = gap < min_gap ? gap : min_gap;
+  }
+  if (!(min_gap > 0.0)) return;
+  const double range = times[n - 1] - times[0];
+  const double needed = std::ceil(range / (0.5 * min_gap)) + 1.0;
+  // Past 8x the knot count the build would cost more than the queries save.
+  if (!(needed <= 8.0 * static_cast<double>(n))) return;
+  const auto n_buckets = static_cast<std::size_t>(needed);
+  t0_ = times[0];
+  width_ = range / static_cast<double>(n_buckets);
+  buckets_.resize(n_buckets);
+  // The anchors never decrease with k (fma rounds monotonically), so their
+  // bound indices never decrease either: one forward walk over the knots
+  // yields every anchor's std::lower_bound / upper_bound index.
+  const bool upper = bound == Bound::kUpper;
+  std::size_t j = 0;
+  for (std::size_t k = 0; k < n_buckets; ++k) {
+    const double anchor = std::fma(static_cast<double>(k), width_, t0_);
+    while (j < n && (upper ? times[j] <= anchor : times[j] < anchor)) ++j;
+    buckets_[k] = static_cast<std::int64_t>(j);
+  }
+}
+
+bool SearchTable::built_for(std::span<const double> times) const {
+  // Bitwise (memcmp, not ==): the exact knot times the buckets came from.
+  return times.size() == times_.size() &&
+         (times.empty() || std::memcmp(times.data(), times_.data(),
+                                       times.size() * sizeof(double)) == 0);
+}
+
+void SearchTables::prepare(const TermStructure& interest_curve,
+                           const HazardPrefix& hazard_prefix, Level level) {
+  if (resolve_level(level) == Level::kScalar) return;
+  if (!hazard.built_for(hazard_prefix.times)) {
+    hazard = SearchTable(hazard_prefix.times, Bound::kLower);
+  }
+  if (!interest.built_for(interest_curve.times())) {
+    interest = SearchTable(interest_curve.times(), Bound::kUpper);
+  }
+}
+
+void survival_column(const HazardPrefix& prefix, const SearchTable& search,
                      std::span<const TimePoint> points, std::span<double> out,
                      Level level) {
   CDSFLOW_ASSERT(out.size() == points.size(),
@@ -230,12 +245,7 @@ void survival_column(const HazardPrefix& prefix,
     // maybe_unused: with no arch TU compiled in (CDSFLOW_DISABLE_SIMD) the
     // dispatch blocks below vanish and this branch is dead code.
     [[maybe_unused]] const double* ts = &points.data()->t;
-    PrefixView pv = view(prefix);
-    std::vector<std::int64_t> lut_storage;
-    if (lut_worthwhile(head, prefix.times.size())) {
-      build_search_lut(pv.times, pv.size, /*upper=*/false, lut_storage,
-                       pv.lut);
-    }
+    [[maybe_unused]] const PrefixView pv = view(prefix, search);
 #if defined(CDSFLOW_HAVE_AVX512)
     if (run == Level::kAvx512) {
       detail_avx512::survival_column(pv, ts, 2, head, out.data());
@@ -261,7 +271,7 @@ void survival_column(const HazardPrefix& prefix,
   }
 }
 
-void discount_column(const TermStructure& interest,
+void discount_column(const TermStructure& interest, const SearchTable& search,
                      std::span<const TimePoint> points, std::span<double> out,
                      Level level) {
   CDSFLOW_ASSERT(out.size() == points.size(),
@@ -274,12 +284,7 @@ void discount_column(const TermStructure& interest,
     if (interest.size() >= 2) {
       head = vector_head(points.size(), run);
       [[maybe_unused]] const double* ts = &points.data()->t;
-      CurveView cv = view(interest);
-      std::vector<std::int64_t> lut_storage;
-      if (lut_worthwhile(head, interest.size())) {
-        build_search_lut(cv.times, cv.size, /*upper=*/true, lut_storage,
-                         cv.lut);
-      }
+      [[maybe_unused]] const CurveView cv = view(interest, search);
 #if defined(CDSFLOW_HAVE_AVX512)
       if (run == Level::kAvx512) {
         detail_avx512::discount_column(cv, ts, 2, head, out.data());
@@ -306,12 +311,12 @@ void discount_column(const TermStructure& interest,
 }
 
 void tabulate_columns(const TermStructure& interest,
-                      const HazardPrefix& prefix,
+                      const HazardPrefix& prefix, const SearchTables& search,
                       std::span<const TimePoint> points,
                       std::span<double> discount, std::span<double> survival,
                       Level level) {
-  survival_column(prefix, points, survival, level);
-  discount_column(interest, points, discount, level);
+  survival_column(prefix, search.hazard, points, survival, level);
+  discount_column(interest, search.interest, points, discount, level);
 }
 
 void combine_spreads(std::span<const CdsOption> options,

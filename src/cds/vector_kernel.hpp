@@ -61,6 +61,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "cds/curve.hpp"
 #include "cds/hazard.hpp"
@@ -94,24 +95,88 @@ unsigned lanes(Level level);
 
 const char* to_string(Level level);
 
+/// Which std:: search a SearchTable reproduces: integrated_hazard_prefix
+/// finds a point's segment with lower_bound, interpolate_fast its bracket
+/// with upper_bound.
+enum class Bound { kLower, kUpper };
+
+/// The bucketed knot-search table over one curve's knot times (the lane
+/// kernels' SearchLut, vector_kernel_arch.hpp). Each bucket is at most half
+/// the smallest knot gap wide and holds the exact std::lower_bound (or
+/// upper_bound) index of its anchor, so a vector-level column finds a
+/// point's knot with two gathers instead of ~log2(knots) dependent ones and
+/// lands on the identical index. The table depends on the knot times only:
+/// every column over the same times -- base, bumped and scenario curves
+/// alike -- shares one. Callers own it (BatchPricer::Workspace keeps one
+/// SearchTables pair) and pass it to the column calls; kScalar never reads
+/// it.
+class SearchTable {
+ public:
+  /// No buckets: the vector kernels run the branchless binary search.
+  SearchTable() = default;
+
+  /// Builds the table over strictly increasing `times` with one forward
+  /// merge walk over the anchors, O(knots). A curve with fewer than two
+  /// knots, a non-increasing gap, or a table that would need more than 8x
+  /// the knot count in buckets (strongly uneven spacing) gets no buckets,
+  /// so its columns keep the binary search.
+  SearchTable(std::span<const double> times, Bound bound);
+
+  /// True when built over exactly these knot times (bitwise compare,
+  /// O(knots)). A table must serve no other curve.
+  bool built_for(std::span<const double> times) const;
+
+  Bound bound() const { return bound_; }
+  /// Knot count of the curve the table was built over.
+  std::size_t knots() const { return times_.size(); }
+  /// buckets()[k] is the bound index of the anchor fma(k, width(), t0());
+  /// empty when the curve admits no table.
+  std::span<const std::int64_t> buckets() const { return buckets_; }
+  double t0() const { return t0_; }
+  double width() const { return width_; }
+
+ private:
+  std::vector<double> times_;
+  std::vector<std::int64_t> buckets_;
+  double t0_ = 0.0;
+  double width_ = 0.0;
+  Bound bound_ = Bound::kLower;
+};
+
+/// The two tables the columns over one (interest, hazard) pair share.
+struct SearchTables {
+  SearchTable hazard;    ///< lower_bound over the hazard knots (survival)
+  SearchTable interest;  ///< upper_bound over the interest knots (discount)
+
+  /// Makes both tables serve these curves at `level`: a table built for
+  /// other knot times is rebuilt, a matching one is kept after an O(knots)
+  /// compare. At kScalar nothing is built or compared; that level runs the
+  /// reference searches.
+  void prepare(const TermStructure& interest_curve,
+               const HazardPrefix& hazard_prefix, Level level);
+};
+
 /// Fills the survival column Q(t_i) = exp(-Lambda(t_i)) over `points`.
 /// Lambda uses the integrated_hazard_prefix expressions verbatim. At vector
-/// levels the lane tail (points.size() % lanes) runs the scalar exp_pd twin
-/// so the column's bits are alignment-independent; kScalar runs the scalar
-/// reference (std::exp) throughout.
-void survival_column(const HazardPrefix& prefix,
+/// levels the lane head finds each point's segment through `search` (a
+/// lower-bound table built for `prefix.times`, or an empty one for the
+/// binary search), and the lane tail (points.size() % lanes) runs the
+/// scalar exp_pd twin so the column's bits are alignment-independent;
+/// kScalar runs the scalar reference (std::exp) throughout.
+void survival_column(const HazardPrefix& prefix, const SearchTable& search,
                      std::span<const TimePoint> points, std::span<double> out,
                      Level level);
 
 /// Fills the discount column D(t_i) = exp(-r(t_i) * t_i) with r from
 /// TermStructure::interpolate_fast's bracket-search + lerp arithmetic.
-void discount_column(const TermStructure& interest,
+/// `search` is an upper-bound table built for `interest.times()`, or empty.
+void discount_column(const TermStructure& interest, const SearchTable& search,
                      std::span<const TimePoint> points, std::span<double> out,
                      Level level);
 
 /// Both base-grid columns in one call (BatchPricer::build_grids).
 void tabulate_columns(const TermStructure& interest,
-                      const HazardPrefix& prefix,
+                      const HazardPrefix& prefix, const SearchTables& search,
                       std::span<const TimePoint> points,
                       std::span<double> discount, std::span<double> survival,
                       Level level);

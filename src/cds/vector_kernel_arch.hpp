@@ -21,9 +21,9 @@ namespace cdsflow::cds::simd {
 /// Bucketed knot-search acceleration table (optional: buckets == nullptr
 /// makes the arch kernels fall back to the branchless binary search).
 ///
-/// The dispatcher builds it per call when the point count justifies the
-/// O(n_buckets) build (vector_kernel.cpp's build_search_lut): a uniform
-/// grid of
+/// A view of the caller-owned simd::SearchTable (vector_kernel.hpp), which
+/// is built once per curve's knot times and shared by every column over
+/// them: a uniform grid of
 /// `n_buckets` buckets over [t0, t0 + n_buckets * width] whose width is at
 /// most *half* the smallest knot gap, where buckets[k] is the exact
 /// std::lower_bound (or std::upper_bound, per table) index of the bucket's

@@ -2,11 +2,13 @@
 /// The batched SoA fast-path kernel: parity with the golden reference
 /// across knot counts and maturity edge cases, the O(log) curve-query fast
 /// paths against their HLS-mirroring scan twins, schedule dedup accounting,
-/// the buffer-reusing make_schedule overload, and determinism of the
+/// one workspace shared by pricers on different knot times, the
+/// buffer-reusing make_schedule overload, and determinism of the
 /// cpu-batch engine through the sharded portfolio runtime.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "cds/batch_pricer.hpp"
@@ -15,6 +17,7 @@
 #include "cds/legs.hpp"
 #include "cds/pricer.hpp"
 #include "cds/schedule.hpp"
+#include "cds/vector_kernel.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -260,6 +263,66 @@ TEST(BatchPricer, PrecomputedGridsMatchReferenceCurveMath) {
                 cds::survival_probability(hazard, ws.points[i].t));
       EXPECT_EQ(ws.default_mass[i], q_prev - ws.survival[i]);
       q_prev = ws.survival[i];
+    }
+  }
+}
+
+TEST(BatchPricer, WorkspaceNeverReusesAnotherCurvesSearchTables) {
+  // A workspace keeps the knot-search tables of the curves it last
+  // tabulated, and any pricer may be handed it. Pricers A and B have the
+  // same knot count but different knot times (30y vs 20y span): pricing
+  // A, B, then A again through one Workspace and one RiskWorkspace must
+  // give a fresh workspace's bits every time.
+  const auto level = cds::simd::detect_level();
+  const BatchPricer a(workload::paper_interest_curve(1024, 5),
+                      workload::paper_hazard_curve(1024, 6), level);
+  workload::CurveSpec spec;
+  spec.points = 1024;
+  spec.span_years = 20.0;
+  spec.base_rate = 0.02;
+  const auto b_interest = workload::make_curve(spec);
+  spec.base_rate = 0.015;
+  spec.shape = workload::CurveShape::kHumped;
+  const BatchPricer b(b_interest, workload::make_curve(spec), level);
+
+  workload::PortfolioSpec book_spec;
+  book_spec.count = 300;
+  book_spec.frequencies = {1.0, 2.0, 4.0, 12.0};
+  book_spec.frequency_weights = {1.0, 1.0, 4.0, 1.0};
+  book_spec.seed = 1515;
+  const auto book = workload::make_portfolio(book_spec);
+  cds::BatchRiskConfig risk_config;
+  risk_config.ladder_edges = {0.0, 2.0, 5.0, 10.0, 30.0};
+  const std::size_t buckets = risk_config.ladder_edges.size() - 1;
+
+  BatchPricer::Workspace ws;
+  BatchPricer::RiskWorkspace risk_ws;
+  for (const BatchPricer* pricer : {&a, &b, &a}) {
+    SCOPED_TRACE(pricer == &a ? "pricer A" : "pricer B");
+    std::vector<cds::SpreadResult> spreads(book.size());
+    pricer->price(book, spreads, ws);
+    const auto fresh = pricer->price(book);
+    for (std::size_t i = 0; i < book.size(); ++i) {
+      ASSERT_EQ(spreads[i].spread_bps, fresh[i].spread_bps) << "option " << i;
+    }
+
+    std::vector<cds::Sensitivities> sens(book.size());
+    std::vector<double> ladder(book.size() * buckets);
+    pricer->price_with_sensitivities(book, sens, ladder, risk_ws, risk_config);
+    const auto fresh_risk = pricer->price_with_sensitivities(book, risk_config);
+    for (std::size_t i = 0; i < book.size(); ++i) {
+      SCOPED_TRACE("option " + std::to_string(i));
+      const cds::Sensitivities& want = fresh_risk.sensitivities[i];
+      ASSERT_EQ(sens[i].spread_bps, want.spread_bps);
+      ASSERT_EQ(sens[i].cs01, want.cs01);
+      ASSERT_EQ(sens[i].ir01, want.ir01);
+      ASSERT_EQ(sens[i].rec01, want.rec01);
+      ASSERT_EQ(sens[i].jtd, want.jtd);
+      for (std::size_t k = 0; k < buckets; ++k) {
+        ASSERT_EQ(ladder[i * buckets + k],
+                  fresh_risk.cs01_ladder[i * buckets + k])
+            << "bucket " << k;
+      }
     }
   }
 }

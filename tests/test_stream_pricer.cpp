@@ -2,7 +2,8 @@
 /// The persistent-grid streaming pricer: micro-batched pricing parity with
 /// the batch kernel, cross-batch grid caching, and -- the load-bearing
 /// guarantee -- incremental hazard-quote updates that are bit-consistent
-/// with a full grid rebuild on the updated curve, under randomized updates.
+/// with a full grid rebuild on the updated curve, under randomized updates
+/// and after a batch that failed part-way.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "cds/batch_pricer.hpp"
 #include "cds/stream_pricer.hpp"
+#include "cds/vector_kernel.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "workload/curves.hpp"
@@ -178,6 +180,36 @@ TEST(StreamPricer, InvalidOptionLeavesTheGridCacheUsable) {
   const cds::BatchPricer batch(interest, hazard);
   expect_identical(stream_price(stream, book, 7), batch.price(book));
   EXPECT_EQ(stream.stats().cached_grids, book.size());
+}
+
+TEST(StreamPricer, QuoteUpdateSkipsGridsAFailedBatchRegistered) {
+  // A batch that throws in dedup registers grids it never tabulates. A
+  // hazard-quote update before the next batch must leave them alone (they
+  // have no columns yet); the next batch then tabulates them on the updated
+  // curve, at the host's level through the cache's search tables.
+  const auto interest = test_interest();
+  auto hazard_values = test_hazard().values();
+  const auto hazard_times = test_hazard().times();
+  cds::StreamPricerConfig config;
+  config.kernel_level = cds::simd::detect_level();
+  cds::StreamPricer stream(interest,
+                           cds::TermStructure(hazard_times, hazard_values),
+                           config);
+  const auto book = continuous_book(40, 78);
+  std::vector<cds::SpreadResult> warm(10);
+  stream.price(std::span<const cds::CdsOption>(book).first(10), warm);
+  const std::size_t tabulated = stream.stats().cached_grids;
+  std::vector<cds::CdsOption> bad(book.begin() + 10, book.begin() + 30);
+  bad.push_back(cds::CdsOption{999, -1.0, 4.0, 0.4});
+  std::vector<cds::SpreadResult> out(bad.size());
+  EXPECT_THROW(stream.price(bad, out), Error);
+
+  EXPECT_EQ(stream.update_hazard_quote(0, 0.03), tabulated);
+  hazard_values[0] = 0.03;
+  const cds::BatchPricer fresh(
+      interest, cds::TermStructure(hazard_times, hazard_values),
+      config.kernel_level);
+  expect_identical(stream_price(stream, book, 7), fresh.price(book));
 }
 
 TEST(StreamPricer, RiskModeMatchesBatchRiskKernelAcrossUpdates) {

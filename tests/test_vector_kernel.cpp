@@ -3,9 +3,10 @@
 /// cds::VectorKernelContract, prose in docs/VECTOR_LANES.md): runtime
 /// dispatch and the lane map, the exp ulp bound, column parity against the
 /// scalar reference, alignment invariance of vector-level columns, the
-/// bit-exact spread combine, kScalar bit-identical to the reference pricers
-/// (columns, spreads, Greeks, ladder), randomized
-/// vec-vs-scalar batch and risk parity across book shapes and knot counts,
+/// knot-search table at knot ties and edges, the bit-exact spread combine,
+/// kScalar bit-identical to the reference pricers (columns, spreads, Greeks,
+/// ladder), randomized vec-vs-scalar batch and risk parity across book
+/// shapes and knot counts,
 /// stream bit-consistency across incremental hazard updates, the registry
 /// name grammar, and planner enumeration of the cpu-vec candidates.
 
@@ -15,6 +16,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,6 +89,15 @@ std::vector<CdsOption> tenor_book(std::size_t count, std::uint64_t seed) {
   spec.frequency_weights = {1.0, 3.0};
   spec.seed = seed;
   return workload::make_portfolio(spec);
+}
+
+/// The knot-search tables a pricer's workspace holds for these curves at
+/// the host's level (none without SIMD lanes).
+cds::simd::SearchTables search_tables(const TermStructure& interest,
+                                      const cds::HazardPrefix& prefix) {
+  cds::simd::SearchTables search;
+  search.prepare(interest, prefix, cds::simd::detect_level());
+  return search;
 }
 
 /// Flat schedule arena over a book, the layout the batch kernel tabulates.
@@ -180,14 +192,18 @@ TEST(VectorKernel, ColumnsMatchReferenceWithinUlpBound) {
     const auto hazard = workload::paper_hazard_curve(knots, 6);
     const auto prefix = cds::make_hazard_prefix(hazard);
     const auto points = schedule_arena(continuous_book(48, 700 + knots));
+    const auto search = search_tables(interest, prefix);
 
     std::vector<double> ref_q(points.size()), ref_d(points.size());
-    cds::simd::survival_column(prefix, points, ref_q, Level::kScalar);
-    cds::simd::discount_column(interest, points, ref_d, Level::kScalar);
+    cds::simd::survival_column(prefix, search.hazard, points, ref_q,
+                               Level::kScalar);
+    cds::simd::discount_column(interest, search.interest, points, ref_d,
+                               Level::kScalar);
     for (const Level level : available_vector_levels()) {
       SCOPED_TRACE(cds::simd::to_string(level));
       std::vector<double> q(points.size()), d(points.size());
-      cds::simd::tabulate_columns(interest, prefix, points, d, q, level);
+      cds::simd::tabulate_columns(interest, prefix, search, points, d, q,
+                                  level);
       for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_LE(ulp_distance(q[i], ref_q[i]),
                   VectorKernelContract::kExpUlpBound)
@@ -210,12 +226,14 @@ TEST(VectorKernel, VectorColumnsAreAlignmentInvariant) {
   const auto prefix = cds::make_hazard_prefix(hazard);
   const auto points = schedule_arena(continuous_book(32, 4242));
   ASSERT_GE(points.size(), 32u);
+  const auto search = search_tables(interest, prefix);
 
   for (const Level level : available_vector_levels()) {
     SCOPED_TRACE(cds::simd::to_string(level));
     std::vector<double> whole_q(points.size()), whole_d(points.size());
-    cds::simd::survival_column(prefix, points, whole_q, level);
-    cds::simd::discount_column(interest, points, whole_d, level);
+    cds::simd::survival_column(prefix, search.hazard, points, whole_q, level);
+    cds::simd::discount_column(interest, search.interest, points, whole_d,
+                               level);
 
     // Deliberately lane-hostile split points (prime offsets, odd lengths).
     for (const std::size_t begin : {0, 1, 3, 7, 13}) {
@@ -223,11 +241,126 @@ TEST(VectorKernel, VectorColumnsAreAlignmentInvariant) {
       std::vector<double> q(n), d(n);
       const auto part = std::span<const cds::TimePoint>(points)
                             .subspan(begin, n);
-      cds::simd::survival_column(prefix, part, q, level);
-      cds::simd::discount_column(interest, part, d, level);
+      cds::simd::survival_column(prefix, search.hazard, part, q, level);
+      cds::simd::discount_column(interest, search.interest, part, d, level);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(q[i], whole_q[begin + i]) << "offset " << begin + i;
         EXPECT_EQ(d[i], whole_d[begin + i]) << "offset " << begin + i;
+      }
+    }
+  }
+}
+
+// --- knot-search tables -----------------------------------------------------
+
+/// One knot spacing a search table meets, and whether it admits a table.
+struct KnotCase {
+  std::string name;
+  std::vector<double> times;
+  bool has_table = false;
+};
+
+/// The uniform 1,024-knot paper grid; uneven gaps that still fit a table;
+/// and a cluster whose half-gap buckets would number far past 8x the knot
+/// count, so its columns keep the binary search.
+std::vector<KnotCase> knot_cases() {
+  std::vector<KnotCase> cases;
+  cases.push_back(
+      {"uniform", workload::paper_hazard_curve(1024, 6).times(), true});
+  Rng rng(31);
+  std::vector<double> uneven;
+  double t = 0.0;
+  for (int i = 0; i < 200; ++i) {
+    t += rng.uniform(0.05, 0.2);
+    uneven.push_back(t);
+  }
+  cases.push_back({"uneven", uneven, true});
+  std::vector<double> clustered;
+  for (int i = 1; i <= 60; ++i) clustered.push_back(0.5 * i);
+  for (int j = 1; j < 10; ++j) clustered.push_back(10.0 + 1e-4 * j);
+  std::sort(clustered.begin(), clustered.end());
+  cases.push_back({"clustered", clustered, false});
+  return cases;
+}
+
+/// A curve over `times` with rates in [1%, 5%), usable as either curve.
+TermStructure curve_over(const std::vector<double>& times,
+                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> values(times.size());
+  for (double& v : values) v = rng.uniform(0.01, 0.05);
+  return TermStructure(times, std::move(values));
+}
+
+/// Points where lower and upper bound part ways or the search clamps: every
+/// knot and its two neighbouring doubles, 0, below the first knot, beyond
+/// the last, plus random positions.
+std::vector<cds::TimePoint> knot_probe_points(const std::vector<double>& times,
+                                              std::uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> ts = {0.0, 0.5 * times.front(), times.back() + 1.0,
+                            2.0 * times.back()};
+  for (const double knot : times) {
+    ts.push_back(std::nextafter(knot, -kInf));
+    ts.push_back(knot);
+    ts.push_back(std::nextafter(knot, kInf));
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 500; ++i) {
+    ts.push_back(rng.uniform(0.0, 1.1 * times.back()));
+  }
+  std::vector<cds::TimePoint> points;
+  for (const double t : ts) points.push_back({t, 0.25});
+  return points;
+}
+
+TEST(VectorKernel, SearchTableMatchesBinarySearchAtKnotTiesAndEdges) {
+  using cds::simd::Bound;
+  for (const KnotCase& knots : knot_cases()) {
+    SCOPED_TRACE(knots.name);
+    const std::vector<double>& times = knots.times;
+    // The merge-walk build gives every anchor its std:: bound index.
+    for (const Bound bound : {Bound::kLower, Bound::kUpper}) {
+      const cds::simd::SearchTable table(times, bound);
+      EXPECT_TRUE(table.built_for(times));
+      EXPECT_EQ(table.knots(), times.size());
+      ASSERT_EQ(!table.buckets().empty(), knots.has_table);
+      for (std::size_t k = 0; k < table.buckets().size(); ++k) {
+        const double anchor =
+            std::fma(static_cast<double>(k), table.width(), table.t0());
+        const auto it = bound == Bound::kUpper
+                            ? std::upper_bound(times.begin(), times.end(),
+                                               anchor)
+                            : std::lower_bound(times.begin(), times.end(),
+                                               anchor);
+        ASSERT_EQ(table.buckets()[k], it - times.begin()) << "bucket " << k;
+      }
+    }
+
+    // Through the lanes: the arena's lane head searches through the table
+    // (or the binary search), a one-point span is all lane tail and runs
+    // the reference std::lower_bound / upper_bound. Same bits everywhere.
+    const TermStructure interest = curve_over(times, 5);
+    const TermStructure hazard = curve_over(times, 6);
+    const auto prefix = cds::make_hazard_prefix(hazard);
+    const auto points = knot_probe_points(times, 7);
+    for (const Level level : available_vector_levels()) {
+      SCOPED_TRACE(cds::simd::to_string(level));
+      cds::simd::SearchTables search;
+      search.prepare(interest, prefix, level);
+      std::vector<double> q(points.size()), d(points.size());
+      cds::simd::tabulate_columns(interest, prefix, search, points, d, q,
+                                  level);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        double q_alone = 0.0;
+        double d_alone = 0.0;
+        cds::simd::tabulate_columns(
+            interest, prefix, search,
+            std::span<const cds::TimePoint>(points).subspan(i, 1),
+            std::span<double>(&d_alone, 1), std::span<double>(&q_alone, 1),
+            level);
+        ASSERT_EQ(q[i], q_alone) << "survival at t=" << points[i].t;
+        ASSERT_EQ(d[i], d_alone) << "discount at t=" << points[i].t;
       }
     }
   }
