@@ -4,8 +4,10 @@
 /// The paper notes the CPU engine "is scaling fairly poorly, where we have
 /// increased the core count by 24 times but the performance only increases
 /// by around nine times" -- the curve scans are memory-bandwidth-bound.
-/// This bench sweeps thread counts up to the host's hardware concurrency
-/// and reports the same scaling curve for this machine.
+/// This bench sweeps lane counts up to the host's hardware concurrency and
+/// reports the same scaling curve for this machine: the scalar "cpu" engine
+/// on a sharded runtime with one contiguous shard per lane (the paper's
+/// static per-thread partition), at measured wall throughput.
 ///
 /// Usage: bench_ablation_cpu_scaling [n_options] [runs]
 
@@ -15,9 +17,9 @@
 #include <vector>
 
 #include "common/format.hpp"
-#include "engines/cpu_engine.hpp"
-#include "report/experiment.hpp"
+#include "common/stats.hpp"
 #include "report/table.hpp"
+#include "runtime/portfolio_runtime.hpp"
 #include "workload/scenario.hpp"
 
 int main(int argc, char** argv) {
@@ -31,9 +33,8 @@ int main(int argc, char** argv) {
 
   std::cout << "== Ablation: CPU thread scaling (paper: 9x at 24 cores) ==\n"
             << n_options << " options, " << runs << " runs averaged, host "
-            << "has " << hw << " hardware thread(s), engine uses "
-            << (engine::CpuEngine::uses_openmp() ? "OpenMP" : "std::thread")
-            << "\n\n";
+            << "has " << hw << " hardware thread(s), one runtime lane per "
+            << "thread\n\n";
 
   std::vector<unsigned> counts;
   for (unsigned t = 1; t <= hw; t *= 2) counts.push_back(t);
@@ -43,13 +44,20 @@ int main(int argc, char** argv) {
   table.set_columns({"Threads", "Options/s", "Scaling", "Efficiency"});
   double base = 0.0;
   for (const unsigned t : counts) {
-    engine::CpuEngine engine(scenario.interest, scenario.hazard,
-                             {.threads = t});
-    const auto m = report::measure(engine, scenario.options, runs);
-    if (t == 1) base = m.mean_ops();
-    table.add_row({std::to_string(t), with_thousands(m.mean_ops(), 2),
-                   fixed(m.mean_ops() / base, 2) + "x",
-                   fixed(100.0 * m.mean_ops() / base / t, 1) + "%"});
+    runtime::RuntimeConfig cfg;
+    cfg.engine = "cpu";
+    cfg.workers = t;
+    cfg.shard_size = (n_options + t - 1) / t;
+    runtime::PortfolioRuntime rt(scenario.interest, scenario.hazard, cfg);
+    (void)rt.price(scenario.options);  // warm-up: starts the lanes
+    RunningStats ops;
+    for (int r = 0; r < runs; ++r) {
+      ops.add(rt.price(scenario.options).wall_options_per_second);
+    }
+    if (t == 1) base = ops.mean();
+    table.add_row({std::to_string(t), with_thousands(ops.mean(), 2),
+                   fixed(ops.mean() / base, 2) + "x",
+                   fixed(100.0 * ops.mean() / base / t, 1) + "%"});
   }
   std::cout << table.render_text() << '\n';
   return 0;

@@ -3,7 +3,9 @@
 /// CDS engines on an Alveo U280, against 24-core Xeon CPU."
 ///
 /// Rows: the CPU on all hardware threads (the paper's machine had 24 cores;
-/// this host's count is printed), then 1, 2 and 5 vectorised FPGA engines.
+/// this host's count is printed) -- the sharded runtime with one lane and
+/// one contiguous shard per thread, the paper's static partition, at
+/// measured wall throughput -- then 1, 2 and 5 vectorised FPGA engines.
 /// The resource estimator first verifies that 5 engines fit on the U280 and
 /// 6 do not, reproducing the paper's packing limit. Power is modelled (no
 /// board/RAPL here -- see DESIGN.md substitutions) with the calibrated
@@ -16,13 +18,14 @@
 #include <thread>
 
 #include "common/format.hpp"
-#include "engines/cpu_engine.hpp"
+#include "common/stats.hpp"
 #include "engines/multi_engine.hpp"
 #include "fpga/power.hpp"
 #include "fpga/resource.hpp"
 #include "report/experiment.hpp"
 #include "report/paper.hpp"
 #include "report/table.hpp"
+#include "runtime/portfolio_runtime.hpp"
 #include "workload/scenario.hpp"
 
 int main(int argc, char** argv) {
@@ -73,17 +76,24 @@ int main(int argc, char** argv) {
   const unsigned hw_threads =
       std::max(1u, std::thread::hardware_concurrency());
   {
-    engine::CpuEngine cpu(scenario.interest, scenario.hazard,
-                          {.threads = hw_threads});
-    const auto m = report::measure(cpu, scenario.options, runs);
+    runtime::RuntimeConfig cfg;
+    cfg.engine = "cpu";
+    cfg.workers = hw_threads;
+    cfg.shard_size = (n_options + hw_threads - 1) / hw_threads;
+    runtime::PortfolioRuntime cpu(scenario.interest, scenario.hazard, cfg);
+    (void)cpu.price(scenario.options);  // warm-up: starts the lanes
+    RunningStats ops;
+    for (int r = 0; r < runs; ++r) {
+      ops.add(cpu.price(scenario.options).wall_options_per_second);
+    }
     add_row(std::to_string(hw_threads) + "-thread CPU (this host; paper: " +
                 std::to_string(report::paper::kCpuCores) + "-core Xeon)",
-            m.mean_ops(), cpu_power.watts(hw_threads),
+            ops.mean(), cpu_power.watts(hw_threads),
             report::paper::kCpu24CoreOptsPerSec,
             report::paper::kCpu24CoreWatts,
             report::paper::kCpu24CoreOptsPerWatt);
-    std::cerr << "  measured cpu-mt" << hw_threads << ": " << m.mean_ops()
-              << " options/s\n";
+    std::cerr << "  measured cpu x " << hw_threads << " lane(s): "
+              << ops.mean() << " options/s\n";
   }
 
   // --- 1 / 2 / 5 FPGA engines -------------------------------------------------

@@ -13,7 +13,6 @@
 
 #include "common/format.hpp"
 #include "common/stats.hpp"
-#include "engines/cpu_engine.hpp"
 #include "engines/multi_engine.hpp"
 #include "engines/planner.hpp"
 #include "fpga/power.hpp"
@@ -31,9 +30,13 @@ int main(int argc, char** argv) {
             << scenario.description << "\n\n";
 
   // --- CPU back-end (real execution) -----------------------------------------
+  // One runtime lane and one contiguous shard per hardware thread.
   const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
-  engine::CpuEngine cpu(scenario.interest, scenario.hazard,
-                        {.threads = threads});
+  runtime::RuntimeConfig cpu_cfg;
+  cpu_cfg.engine = "cpu";
+  cpu_cfg.workers = threads;
+  cpu_cfg.shard_size = (n_options + threads - 1) / threads;
+  runtime::PortfolioRuntime cpu(scenario.interest, scenario.hazard, cpu_cfg);
   const auto cpu_run = cpu.price(scenario.options);
 
   // --- FPGA back-end (simulated 5-engine U280) --------------------------------
@@ -54,7 +57,7 @@ int main(int argc, char** argv) {
   double max_rel = 0.0;
   for (std::size_t i = 0; i < n_options; ++i) {
     max_rel = std::max(max_rel,
-                       relative_difference(cpu_run.results[i].spread_bps,
+                       relative_difference(cpu_run.run.results[i].spread_bps,
                                            fpga_run.results[i].spread_bps));
   }
   std::cout << "cross-validation: max relative spread difference "
@@ -77,7 +80,7 @@ int main(int argc, char** argv) {
                    fixed(watts * seconds_per_million / 1e3, 2)});
   };
   add("CPU x" + std::to_string(threads) + " threads (measured)",
-      cpu_run.options_per_second, cpu_watts);
+      cpu_run.wall_options_per_second, cpu_watts);
   add("FPGA x5 engines (simulated U280)", fpga_run.options_per_second,
       fpga_watts);
   add("Runtime: 4 sharded vectorised lanes (modelled)",
@@ -108,7 +111,7 @@ int main(int argc, char** argv) {
                                                .deadline_seconds = 120.0};
   engine::PlannerConfig planner_cfg;
   // Two probe sizes calibrate the affine (setup + per-option) cost model;
-  // the larger one is big enough that CPU thread spin-up amortises fairly.
+  // the larger one is big enough that per-call setup amortises fairly.
   planner_cfg.probe_sizes = {128, 512};
   const auto candidates = engine::enumerate_backends(
       scenario.interest, scenario.hazard, planner_cfg);

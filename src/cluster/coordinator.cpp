@@ -5,6 +5,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <thread>
@@ -19,6 +20,31 @@ namespace cdsflow::cluster {
 namespace {
 
 constexpr std::uint64_t kProbeTimeoutUs = 10'000'000;
+
+/// A timeout ends up as poll()'s int millisecond count, so it must be
+/// finite and at most INT_MAX ms; `positive` also rejects zero.
+void expect_timeout(double seconds, bool positive, const std::string& what) {
+  constexpr double kMaxMs = std::numeric_limits<int>::max();
+  CDSFLOW_EXPECT(std::isfinite(seconds) &&
+                     (positive ? seconds > 0.0 : seconds >= 0.0) &&
+                     seconds * 1e3 <= kMaxMs,
+                 what + " must be finite, " + (positive ? "> 0" : ">= 0") +
+                     " and at most " + std::to_string(kMaxMs / 1e3) +
+                     " s, got " + std::to_string(seconds));
+}
+
+/// Checks the configuration before anything connects.
+CoordinatorConfig validated(CoordinatorConfig config) {
+  CDSFLOW_EXPECT(!config.nodes.empty(),
+                 "cluster coordinator needs at least one node");
+  expect_timeout(config.response_timeout_seconds, /*positive=*/true,
+                 "cluster response timeout");
+  for (const auto& spec : config.nodes) {
+    expect_timeout(spec.connect_timeout_seconds, /*positive=*/false,
+                   "cluster node '" + spec.label() + "': connect timeout");
+  }
+  return config;
+}
 
 net::Client connect_with_retry(const NodeSpec& spec) {
   // ECONNREFUSED is immediate on loopback, so a worker still starting up
@@ -49,9 +75,8 @@ net::Client connect_with_retry(const NodeSpec& spec) {
 }  // namespace
 
 ClusterCoordinator::ClusterCoordinator(CoordinatorConfig config)
-    : config_(std::move(config)) {
-  CDSFLOW_EXPECT(!config_.nodes.empty(),
-                 "cluster coordinator needs at least one node");
+    : config_(validated(std::move(config))),
+      runner_(static_cast<unsigned>(config_.nodes.size())) {
   clients_.reserve(config_.nodes.size());
   nodes_.reserve(config_.nodes.size());
   for (const auto& spec : config_.nodes) {
@@ -136,10 +161,10 @@ ClusterRun ClusterCoordinator::price(
     std::size_t node = 0;
     bool resubmitted = false;
   };
-  // Not board-guarded: each slot is owned by exactly one drive thread at a
+  // Not board-guarded: each slot is owned by exactly one drive task at a
   // time (a shard is handed out under the lock, and an orphaned shard is
   // only re-handed-out after its owner stopped touching the slot), and the
-  // merge below reads the slots after every drive thread has joined.
+  // merge below reads the slots after every drive task's future is ready.
   std::vector<ShardState> done(shards.size());
 
   // The dispatch board: per-node queues seeded from the plan, plus an
@@ -166,6 +191,15 @@ ClusterRun ClusterCoordinator::price(
 
   const auto response_timeout_us = static_cast<std::uint64_t>(
       config_.response_timeout_seconds * 1e6);
+
+  // The first fatal error aborts the run: every drive task wakes and returns.
+  const auto set_fatal = [&board](std::string message) {
+    MutexLock lock(board.mu);
+    if (board.fatal.empty()) {
+      board.fatal = std::move(message);
+    }
+    board.cv.notify_all();
+  };
 
   auto drive_node = [&](std::size_t k) {
     for (;;) {
@@ -229,11 +263,7 @@ ClusterRun ClusterCoordinator::price(
       }
 
       if (!fatal.empty()) {
-        MutexLock lock(board.mu);
-        if (board.fatal.empty()) {
-          board.fatal = std::move(fatal);
-        }
-        board.cv.notify_all();
+        set_fatal(std::move(fatal));
         return;
       }
       if (priced) {
@@ -265,22 +295,32 @@ ClusterRun ClusterCoordinator::price(
     }
   };
 
+  // One drive task per node, each on its own runner lane. A task must never
+  // leave the board waiting: any exception that escapes the drive body (not
+  // only a node failure) becomes the run's fatal error and wakes the other
+  // tasks, which then return -- otherwise they would wait on board.cv, and
+  // run() on them, forever.
+  const auto drive_tasks = runtime::plan_shards(nodes_.size(), 1);
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(nodes_.size());
-  for (std::size_t k = 0; k < nodes_.size(); ++k) {
-    threads.emplace_back(drive_node, k);
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
+  runner_.run(drive_tasks, [&](const runtime::Shard& task, unsigned) {
+    try {
+      drive_node(task.index);
+    } catch (const std::exception& e) {
+      set_fatal("cluster node '" + nodes_[task.index].address +
+                "': drive task failed: " + e.what());
+    } catch (...) {
+      set_fatal("cluster node '" + nodes_[task.index].address +
+                "': drive task failed");
+    }
+    return 0.0;
+  });
   const auto t1 = std::chrono::steady_clock::now();
 
-  // The joins above publish the drive threads' final writes, but the board
-  // stays locked for these reads anyway: the lock costs nothing after the
-  // join, keeps every board access under its capability, and lets the
-  // thread-safety analysis prove the whole dispatch instead of special-
-  // casing the post-join tail.
+  // run() returns once every drive task's future is ready, which publishes
+  // the tasks' final writes, but the board stays locked for these reads
+  // anyway: the lock costs nothing then, keeps every board access under its
+  // capability, and lets the thread-safety analysis prove the whole
+  // dispatch instead of special-casing the tail.
   std::string fatal_message;
   std::size_t shards_remaining = 0;
   std::size_t nodes_dead = 0;

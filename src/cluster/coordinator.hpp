@@ -9,17 +9,24 @@
 /// over. price() cuts the book into contiguous shards (runtime::plan_shards,
 /// the same contiguity that makes the in-process merge deterministic),
 /// assigns them to nodes with the planner's earliest-finish schedule, and
-/// drives one dispatch thread per node; results are merged by concatenating
-/// shard rows in shard (= submission) order, so the merged values are
-/// bit-identical to a single-process run of the same engine whatever node
-/// priced which shard (see docs/CLUSTER.md for the full contract).
+/// drives each node as one task on a runtime::ShardRunner with one lane per
+/// node; results are merged by concatenating shard rows in shard
+/// (= submission) order, so the merged values are bit-identical to a
+/// single-process run of the same engine whatever node priced which shard
+/// (see docs/CLUSTER.md for the full contract).
+///
+/// Threads: construction starts none. A one-node cluster drives its node
+/// inline on the caller; a multi-node cluster starts its lanes on the first
+/// price() and keeps them until it is destroyed, so no later call starts a
+/// thread.
 ///
 /// Failure semantics: a worker that drops its connection or times out
 /// mid-run is declared dead for the run; its unfinished shards (including
 /// the one in flight) move to an orphan queue that surviving nodes drain
 /// after their own assignment. A reject frame from a worker is a
 /// configuration error and aborts the run; losing every node with shards
-/// outstanding does too.
+/// outstanding does too, and so does any other exception inside a drive
+/// task.
 
 #pragma once
 
@@ -32,6 +39,7 @@
 #include "engines/engine.hpp"
 #include "engines/planner.hpp"
 #include "net/client.hpp"
+#include "runtime/shard_runner.hpp"
 
 namespace cdsflow::cluster {
 
@@ -43,7 +51,7 @@ struct NodeSpec {
   std::string host = "127.0.0.1";
   std::uint16_t tcp_port = 0;
   /// Construction retries the connect until this deadline (covers workers
-  /// still starting up), then throws.
+  /// still starting up), then throws. Finite, >= 0 and at most INT_MAX ms.
   double connect_timeout_seconds = 5.0;
   /// Link model. The latency term is replaced by the measured probe round
   /// trip (min over repeats, halved) unless measure_latency is false; the
@@ -67,7 +75,8 @@ struct CoordinatorConfig {
   /// NODE_PROBE round trips per node at construction (min RTT is kept).
   unsigned probe_repeats = 3;
   /// A node that takes longer than this to answer one shard is declared
-  /// dead for the run and its shards are resubmitted.
+  /// dead for the run and its shards are resubmitted. Finite, > 0 and at
+  /// most INT_MAX ms.
   double response_timeout_seconds = 300.0;
 };
 
@@ -110,9 +119,10 @@ struct ClusterRun {
 
 class ClusterCoordinator {
  public:
-  /// Connects to and probes every node. Throws cdsflow::Error when a node
-  /// cannot be reached within its connect timeout or answers the probe
-  /// with anything but a node-info reply.
+  /// Connects to and probes every node. Throws cdsflow::Error -- before
+  /// connecting -- when a timeout is out of range, and when a node cannot
+  /// be reached within its connect timeout or answers the probe with
+  /// anything but a node-info reply.
   explicit ClusterCoordinator(CoordinatorConfig config);
 
   ClusterCoordinator(const ClusterCoordinator&) = delete;
@@ -126,13 +136,18 @@ class ClusterCoordinator {
 
   /// Prices the book across the cluster. An empty book returns an empty
   /// run. Throws cdsflow::Error when a worker rejects a shard or every
-  /// node is lost with shards outstanding.
+  /// node is lost with shards outstanding; the coordinator stays usable,
+  /// with a lost node still in the plan. Single-caller: each node has one
+  /// socket, so at most one price() call may run on a coordinator at a time.
   ClusterRun price(std::span<const cds::CdsOption> options);
 
  private:
   CoordinatorConfig config_;
   std::vector<net::Client> clients_;
   std::vector<engine::ClusterNode> nodes_;
+  /// One lane per node. Declared after the clients its workers use, so it
+  /// joins them first.
+  runtime::ShardRunner runner_;
 };
 
 }  // namespace cdsflow::cluster

@@ -1,10 +1,10 @@
 /// \file cpu_engine.hpp
-/// The paper's CPU comparator: "a bespoke version of the engine in C++ with
-/// OpenMP for multi-threading" on a 24-core Xeon Platinum 8260M.
+/// The paper's CPU comparator: a bespoke C++ version of the engine, run
+/// multi-threaded on a 24-core Xeon Platinum 8260M.
 ///
-/// This engine *really executes*: it prices with native code and reports
-/// measured wall-clock time. The kernel (CpuKernel, the "-batch" / "-vec" /
-/// "-sweep" token of the registry name) is one of:
+/// This engine *really executes*: it prices with native code on the calling
+/// thread and reports measured wall-clock time. The kernel (CpuKernel, the
+/// "-batch" / "-vec" / "-sweep" token of the registry name) is one of:
 ///
 ///   * reference (default, "cpu") -- the paper's naive comparator: per-option
 ///     schedule allocation avoided via a reused buffer, but per-point
@@ -35,12 +35,12 @@
 /// others by bumping each unique schedule grid once
 /// (BatchPricer::price_with_sensitivities).
 ///
-/// Threading uses OpenMP when the toolchain provides it (as in the paper)
-/// and falls back to std::thread otherwise; both paths drive the same
-/// contiguous-chunk helper so they cannot drift. There are no dependencies
-/// between options, so the parallel schedule is a simple partition -- the
-/// paper observes the scalar workload scales poorly anyway (~9x on 24
-/// cores), being memory-bound on the curve scans.
+/// The engine starts no threads. Multi-core CPU runs go through
+/// runtime::PortfolioRuntime: one engine per ShardRunner lane, and with
+/// shard_size = ceil(n / workers) one contiguous shard per lane -- the
+/// paper's static per-thread partition, merged bit for bit (the paper
+/// observes the scalar workload scales poorly anyway, ~9x on 24 cores,
+/// being memory-bound on the curve scans).
 
 #pragma once
 
@@ -64,8 +64,6 @@ enum class CpuKernel { kReference, kBatch, kVec, kSweep };
 cds::simd::Level cpu_kernel_level(CpuKernel kernel);
 
 struct CpuEngineConfig {
-  /// Worker threads; 0 selects std::thread::hardware_concurrency().
-  unsigned threads = 1;
   /// Which kernel prices (see the file comment). The reference kernel
   /// survives as the paper's naive comparator and for parity checks.
   CpuKernel kernel = CpuKernel::kReference;
@@ -93,42 +91,25 @@ class CpuEngine final : public Engine {
 
   PricingRun price(std::span<const cds::CdsOption> options) override;
 
-  unsigned threads() const { return threads_; }
   CpuKernel kernel() const { return kernel_; }
   /// The SIMD tier the batch pricer actually runs at (cpu_kernel_level,
   /// post hardware clamp; kScalar for the reference kernel).
   cds::simd::Level kernel_level() const { return kernel_level_; }
   bool risk_mode() const { return risk_; }
 
-  /// True when built with OpenMP (the paper's configuration).
-  static bool uses_openmp();
-
  private:
-  /// Reusable per-chunk scratch: the batch (risk) workspace or the scalar
-  /// schedule buffer, whichever kernel/mode is active.
+  cds::ReferencePricer pricer_;
+  /// Present unless the reference kernel is selected.
+  std::unique_ptr<cds::BatchPricer> batch_pricer_;
+  /// Scratch kept warm across price() calls: the batch (risk) workspace or
+  /// the scalar schedule buffer, whichever kernel/mode is active. An engine
+  /// object is never priced on concurrently; lanes own separate replicas.
   struct Scratch {
     cds::BatchPricer::Workspace batch;
     cds::BatchPricer::RiskWorkspace risk;
     std::vector<cds::TimePoint> schedule;
-  };
-
-  /// Prices options[begin, end) into run.results[begin, end) (and, in risk
-  /// mode, run.sensitivities / run.cs01_ladder) with the configured kernel.
-  /// The single shared loop body behind the serial, OpenMP and std::thread
-  /// paths.
-  void price_chunk(std::span<const cds::CdsOption> options,
-                   std::size_t begin, std::size_t end, PricingRun& run,
-                   Scratch& scratch) const;
-
-  cds::ReferencePricer pricer_;
-  /// Present unless the reference kernel is selected.
-  std::unique_ptr<cds::BatchPricer> batch_pricer_;
-  /// One scratch per concurrent chunk, kept warm across price() calls (an
-  /// engine object is never priced on concurrently; replicas are separate
-  /// objects).
-  std::vector<Scratch> scratch_;
+  } scratch_;
   cds::BatchRiskConfig risk_config_;
-  unsigned threads_;
   CpuKernel kernel_ = CpuKernel::kReference;
   bool risk_ = false;
   cds::simd::Level kernel_level_ = cds::simd::Level::kScalar;

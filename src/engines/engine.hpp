@@ -3,8 +3,9 @@
 ///
 /// Six engines implement it, mirroring the paper's progression:
 ///
-///   CpuEngine            the "bespoke C++ engine" (serial / OpenMP) --
-///                        natively executed and wall-clock timed
+///   CpuEngine            the "bespoke C++ engine" -- natively executed on
+///                        the calling thread and wall-clock timed (multi-
+///                        core runs shard it across runtime lanes)
 ///   XilinxBaselineEngine the Vitis open-source library structure:
 ///                        sequential pipelined loops, II=7 accumulation
 ///   DataflowEngine       "Optimised Dataflow CDS engine": concurrent

@@ -20,8 +20,8 @@ namespace cdsflow::engine {
 namespace {
 
 /// Warmup + best-of-N probe timing for natively executed engines. A single
-/// cold run folds first-touch allocation and thread-spawn noise into the
-/// measurement, which can invert the cpu vs cpu-mt ranking at probe size.
+/// cold run folds first-touch allocation noise into the measurement, which
+/// can invert the cpu vs cpu-batch ranking at probe size.
 double measure_probe_seconds(Engine& engine,
                              const std::vector<cds::CdsOption>& probe,
                              unsigned warmup_runs, unsigned timed_runs) {
@@ -158,21 +158,18 @@ std::vector<BackendCandidate> enumerate_backends(
   };
 
   // --- CPU candidates -------------------------------------------------------
-  std::vector<unsigned> threads = config.cpu_thread_counts;
-  if (threads.empty()) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    threads = {1u};
-    if (hw > 1) threads.push_back(hw);
-  }
+  // Every CPU candidate is probed on one lane: a CPU engine prices on the
+  // calling thread, and plan_runtime() expands the lane count.
+  const double cpu_watts = config.cpu_power.watts(1);
 
   // Scenario-sweep planning: the probe's n axis is the scenario count (one
-  // fixed book, varying scenario sets), so the candidates are measured here
-  // on SweepRuntime and the option-axis candidates below are skipped --
-  // mixing the two axes in one candidate set would compare incomparable
-  // workloads. Everything downstream (affine fit, plan_runtime's worker x
-  // shard_size expansion) is unchanged: "cpu-sweep" parses as a
-  // single-threaded CPU name, so it scales with runtime worker lanes
-  // exactly like "cpu-vec" does on the option axis.
+  // fixed book, varying scenario sets), so the candidate is measured here
+  // on a one-lane SweepRuntime and the option-axis candidates below are
+  // skipped -- mixing the two axes in one candidate set would compare
+  // incomparable workloads. Everything downstream (affine fit,
+  // plan_runtime's worker x shard_size expansion) is unchanged: "cpu-sweep"
+  // is a CPU name, so it scales with runtime worker lanes exactly like
+  // "cpu-vec" does on the option axis.
   if (config.sweep_mode) {
     CDSFLOW_EXPECT(config.sweep_probe_options > 0,
                    "sweep probes need a non-empty book");
@@ -185,46 +182,39 @@ std::vector<BackendCandidate> enumerate_backends(
     for (const std::size_t size : sizes) {
       probe_sets.push_back(workload::mc_hazard_scenarios(hazard, size));
     }
-    for (const unsigned t : threads) {
-      const std::string name =
-          cpu_engine_name(CpuKernel::kSweep, /*risk_mode=*/false, t);
-      runtime::SweepRuntimeConfig rt_config;
-      rt_config.workers = t;
-      rt_config.level = cds::simd::active_level();
-      runtime::SweepRuntime sweep_runtime(interest, hazard, book, rt_config);
-      std::vector<ProbeMeasurement> measurements;
-      measurements.reserve(sizes.size());
-      for (std::size_t i = 0; i < sizes.size(); ++i) {
-        const cds::ScenarioMatrix matrix = probe_sets[i].matrix();
-        for (unsigned w = 0; w < config.probe_warmup_runs; ++w) {
-          (void)sweep_runtime.run(matrix);  // discarded
-        }
-        double best = std::numeric_limits<double>::infinity();
-        for (unsigned r = 0; r < std::max(1u, config.probe_repeats); ++r) {
-          best = std::min(best, sweep_runtime.run(matrix).wall_seconds);
-        }
-        measurements.push_back({sizes[i], best});
+    runtime::SweepRuntimeConfig rt_config;
+    rt_config.workers = 1;
+    rt_config.level = cds::simd::active_level();
+    runtime::SweepRuntime sweep_runtime(interest, hazard, book, rt_config);
+    std::vector<ProbeMeasurement> measurements;
+    measurements.reserve(sizes.size());
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      const cds::ScenarioMatrix matrix = probe_sets[i].matrix();
+      for (unsigned w = 0; w < config.probe_warmup_runs; ++w) {
+        (void)sweep_runtime.run(matrix);  // discarded
       }
-      candidates.push_back(fit_backend_model(name, config.cpu_power.watts(t),
-                                             std::move(measurements)));
+      double best = std::numeric_limits<double>::infinity();
+      for (unsigned r = 0; r < std::max(1u, config.probe_repeats); ++r) {
+        best = std::min(best, sweep_runtime.run(matrix).wall_seconds);
+      }
+      measurements.push_back({sizes[i], best});
     }
+    candidates.push_back(fit_backend_model(
+        cpu_engine_name(CpuKernel::kSweep, /*risk_mode=*/false), cpu_watts,
+        std::move(measurements)));
     return candidates;
   }
 
-  for (const unsigned t : threads) {
-    std::vector<std::string> names;
-    names.push_back(
-        cpu_engine_name(CpuKernel::kReference, config.risk_mode, t));
-    if (config.probe_cpu_batch) {
-      names.push_back(cpu_engine_name(CpuKernel::kBatch, config.risk_mode, t));
-    }
-    if (config.probe_cpu_vec &&
-        cpu_kernel_level(CpuKernel::kVec) != cds::simd::Level::kScalar) {
-      names.push_back(cpu_engine_name(CpuKernel::kVec, config.risk_mode, t));
-    }
-    for (const auto& name : names) {
-      probe_candidate(name, config.cpu_power.watts(t), /*simulated=*/false);
-    }
+  probe_candidate(cpu_engine_name(CpuKernel::kReference, config.risk_mode),
+                  cpu_watts, /*simulated=*/false);
+  if (config.probe_cpu_batch) {
+    probe_candidate(cpu_engine_name(CpuKernel::kBatch, config.risk_mode),
+                    cpu_watts, /*simulated=*/false);
+  }
+  if (config.probe_cpu_vec &&
+      cpu_kernel_level(CpuKernel::kVec) != cds::simd::Level::kScalar) {
+    probe_candidate(cpu_engine_name(CpuKernel::kVec, config.risk_mode),
+                    cpu_watts, /*simulated=*/false);
   }
 
   // --- FPGA candidates (price only: skipped when planning risk) -------------
@@ -308,13 +298,12 @@ std::vector<RuntimePlanEntry> plan_runtime(
     CDSFLOW_EXPECT(candidate.options_per_second > 0.0,
                    "candidate '" + candidate.engine_name +
                        "' has no throughput measurement");
-    // Only single-threaded CPU candidates scale with runtime worker lanes;
-    // cpu-mtN / multi-N / cluster-MxN are already parallel inside the
-    // engine, so replicating them across lanes would double-count cores.
+    // CPU candidates scale with runtime worker lanes; multi-N and
+    // cluster-MxN are already parallel inside the engine, so replicating
+    // them across lanes would double-count cores.
     CpuEngineConfig parsed = config.cpu;
     const bool scales_with_workers =
-        parse_cpu_engine_name(candidate.engine_name, parsed) &&
-        parsed.threads == 1;
+        parse_cpu_engine_name(candidate.engine_name, parsed);
     const std::vector<unsigned> workers =
         scales_with_workers ? worker_sweep : std::vector<unsigned>{1u};
 

@@ -4,7 +4,7 @@
 /// The paper's motivation (Sec. I): banks batch-process financial models
 /// "for instance overnight, which must still occur within specific time
 /// constraints". Given a book size, a deadline, and the available back-ends
-/// (CPU threads, 1..max FPGA engines), the planner measures each candidate,
+/// (CPU kernels, 1..max FPGA engines), the planner measures each candidate,
 /// discards those that miss the deadline, and ranks the rest by energy
 /// (power model x runtime) -- the decision a capacity planner actually makes
 /// with Table II in hand.
@@ -12,11 +12,11 @@
 /// The planning dataflow is probe -> fit -> enumerate -> rank:
 ///
 ///   1. *probe*  -- enumerate_backends() measures every candidate at two or
-///      more workload sizes. Natively executed CPU candidates get a
-///      discarded warmup run and the best of N timed repeats (first-touch
-///      allocation and thread-spawn noise otherwise inverts rankings at
-///      probe size); simulated FPGA candidates report deterministic modelled
-///      time and are measured once per size.
+///      more workload sizes. Natively executed CPU candidates run on one
+///      lane and get a discarded warmup run and the best of N timed repeats
+///      (first-touch allocation noise otherwise inverts rankings at probe
+///      size); simulated FPGA candidates report deterministic modelled time
+///      and are measured once per size.
 ///   2. *fit*    -- fit_backend_model() fits an affine cost model
 ///      seconds(n) = setup_seconds + n / options_per_second per candidate.
 ///      A single-size linear extrapolation systematically misprojects
@@ -67,7 +67,7 @@ struct ProbeMeasurement {
 
 /// One candidate back-end with its fitted affine cost model.
 struct BackendCandidate {
-  /// Engine registry name ("cpu-batch", "cpu-mt8", "multi-3", ...).
+  /// Engine registry name ("cpu-batch", "cpu-vec-risk", "multi-3", ...).
   std::string engine_name;
   /// Modelled electrical power while running.
   double watts = 0.0;
@@ -75,8 +75,8 @@ struct BackendCandidate {
   /// amortised (1 / per-option seconds of the fitted model).
   double options_per_second = 0.0;
   /// Fixed cost paid once per batch (per shard, under the sharded runtime):
-  /// grid dedup + tabulation for the batch kernel, thread spawn for -mt
-  /// engines, transfer setup for the simulated cards. 0 reproduces the old
+  /// grid dedup + tabulation for the batch kernel, transfer setup for the
+  /// simulated cards. 0 reproduces the old
   /// linear model, so hand-built candidates stay valid.
   double setup_seconds = 0.0;
   /// The measurements the model was fitted from (empty for hand-built
@@ -125,53 +125,51 @@ struct PlannerConfig {
   /// size must be >= 8 to be representative.
   std::vector<std::size_t> probe_sizes = {128, 2048};
   /// Discarded warmup runs per CPU candidate before timing (first-touch
-  /// allocation, thread spawn).
+  /// allocation).
   unsigned probe_warmup_runs = 1;
   /// Timed repeats per (CPU candidate, probe size); the best (minimum) time
   /// is kept. Simulated engines are deterministic and measured once.
   unsigned probe_repeats = 2;
-  /// CPU thread counts to consider (empty: 1 and hardware_concurrency).
-  std::vector<unsigned> cpu_thread_counts;
-  /// Also probe the batched SoA fast-path CPU kernel ("cpu-batch[-mtN]") at
-  /// every CPU thread count. Same power model as the scalar kernel -- the
-  /// fast path wins on energy purely by finishing sooner.
+  /// Also probe the batched SoA fast-path CPU kernel ("cpu-batch"). Same
+  /// power model as the scalar kernel -- the fast path wins on energy purely
+  /// by finishing sooner.
   bool probe_cpu_batch = true;
-  /// Also probe the SIMD vector kernel ("cpu-vec[-mtN]") at every CPU
-  /// thread count -- skipped automatically when the host resolves to the
-  /// scalar level (the candidate would just re-measure cpu-batch under
-  /// another name). Same power model again: the planner needs no vector-
-  /// specific logic, the probe->affine-fit pipeline prices the lane win by
-  /// measuring it.
+  /// Also probe the SIMD vector kernel ("cpu-vec") -- skipped automatically
+  /// when the host resolves to the scalar level (the candidate would just
+  /// re-measure cpu-batch under another name). Same power model again: the
+  /// planner needs no vector-specific logic, the probe->affine-fit pipeline
+  /// prices the lane win by measuring it.
   bool probe_cpu_vec = true;
-  /// Probe the CPU candidates in risk mode ("cpu[-batch|-vec]-risk[-mtN]")
-  /// and skip the simulated candidates (they only price). Risk details
+  /// Probe the CPU candidates in risk mode ("cpu[-batch|-vec]-risk") and
+  /// skip the simulated candidates (they only price). Risk details
   /// (bump, ladder edges) ride in `cpu`.
   bool risk_mode = false;
   /// Plan the scenario-sweep workload instead of the batch-pricing one:
-  /// enumerate_backends() probes "cpu-sweep[-mtN]" candidates only (a
-  /// runtime::SweepRuntime over a fixed `sweep_probe_options` book, timed
-  /// at each probe size with the warmup + best-of-N protocol), and the
-  /// probe's n axis is the *scenario count* -- probe_sizes, n_options and
-  /// every downstream projection then count scenarios, not options. The
-  /// same affine fit and the unchanged plan_runtime() expansion apply:
-  /// "cpu-sweep" parses as a single-threaded CPU name, so the worker x
-  /// shard_size sweep enumerates scenario-axis sharding plans with zero
-  /// sweep-specific planning logic.
+  /// enumerate_backends() probes the one "cpu-sweep" candidate only (a
+  /// one-lane runtime::SweepRuntime over a fixed `sweep_probe_options`
+  /// book, timed at each probe size with the warmup + best-of-N protocol),
+  /// and the probe's n axis is the *scenario count* -- probe_sizes,
+  /// n_options and every downstream projection then count scenarios, not
+  /// options. The same affine fit and the unchanged plan_runtime()
+  /// expansion apply: "cpu-sweep" is a CPU name, so the worker x shard_size
+  /// sweep enumerates scenario-axis sharding plans with zero sweep-specific
+  /// planning logic.
   bool sweep_mode = false;
   /// Book size of the sweep probes. The book is held fixed across the
   /// probe (it is the sweep's amortised setup, the fitted intercept);
   /// only the scenario count varies.
   std::size_t sweep_probe_options = 256;
   /// Forwarded to every CPU candidate (and into the planned RuntimeConfig):
-  /// risk bump size, ladder edges. kernel/risk_mode/threads are
-  /// overridden by each candidate's registry name.
+  /// risk bump size, ladder edges. kernel/risk_mode are overridden by each
+  /// candidate's registry name.
   CpuEngineConfig cpu;
   /// FPGA engine counts to consider (empty: 1..max that fit the device).
   std::vector<unsigned> fpga_engine_counts;
-  /// Worker-lane counts plan_runtime() considers for single-threaded CPU
-  /// candidates (empty: 1, 2, 4, ... up to hardware_concurrency). Already-
-  /// parallel candidates (cpu-mtN, multi-N, cluster-MxN) always plan at one
-  /// lane -- their parallelism lives inside the engine.
+  /// Worker-lane counts plan_runtime() considers for every CPU candidate
+  /// (empty: 1, 2, 4, ... up to hardware_concurrency); a CPU plan's lanes
+  /// are its only CPU parallelism. Already-parallel candidates (multi-N,
+  /// cluster-MxN) always plan at one lane -- their parallelism lives inside
+  /// the engine.
   std::vector<unsigned> worker_counts;
   /// The setup-aware shard size grows shards until the per-shard setup cost
   /// is at most this fraction of the shard's per-option compute.

@@ -31,51 +31,22 @@ constexpr const char* kKernelTokens[] = {"", "-batch", "-vec", "-sweep"};
 }  // namespace
 
 bool parse_cpu_engine_name(const std::string& name, CpuEngineConfig& config) {
-  // CPU family, assembled as "cpu[-batch|-vec|-sweep][-risk][-mt[N]]":
-  // strip the optional kernel and mode tokens, then parse the thread
-  // suffix.
-  CpuEngineConfig cfg = config;
-  std::string cpu_name = name;
-  const auto strip_token = [&cpu_name](const std::string& prefix) {
-    if (cpu_name.rfind(prefix, 0) != 0) return false;
-    cpu_name = "cpu" + cpu_name.substr(prefix.size());
-    return true;
-  };
-  cfg.kernel = CpuKernel::kReference;
-  for (const auto kernel :
-       {CpuKernel::kBatch, CpuKernel::kVec, CpuKernel::kSweep}) {
-    if (strip_token(std::string("cpu") +
-                    kKernelTokens[static_cast<int>(kernel)])) {
-      cfg.kernel = kernel;
-      break;
+  for (const auto kernel : {CpuKernel::kReference, CpuKernel::kBatch,
+                            CpuKernel::kVec, CpuKernel::kSweep}) {
+    for (const bool risk : {false, true}) {
+      if (name == cpu_engine_name(kernel, risk)) {
+        config.kernel = kernel;
+        config.risk_mode = config.risk_mode || risk;
+        return true;
+      }
     }
   }
-  if (strip_token("cpu-risk")) cfg.risk_mode = true;
-  unsigned n = 0;
-  if (cpu_name == "cpu") {
-    cfg.threads = 1;
-  } else if (cpu_name == "cpu-mt") {
-    cfg.threads = 0;  // all hardware threads
-  } else if (parse_suffix_uint(cpu_name, "cpu-mt", n)) {
-    cfg.threads = n;
-  } else {
-    return false;
-  }
-  config = cfg;
-  return true;
+  return false;
 }
 
-std::string cpu_engine_name(CpuKernel kernel, bool risk_mode,
-                            unsigned threads) {
-  std::string name =
-      std::string("cpu") + kKernelTokens[static_cast<int>(kernel)];
-  if (risk_mode) name += "-risk";
-  if (threads == 0) {
-    name += "-mt";
-  } else if (threads > 1) {
-    name += "-mt" + std::to_string(threads);
-  }
-  return name;
+std::string cpu_engine_name(CpuKernel kernel, bool risk_mode) {
+  return std::string("cpu") + kKernelTokens[static_cast<int>(kernel)] +
+         (risk_mode ? "-risk" : "");
 }
 
 std::unique_ptr<Engine> make_engine(const std::string& name,
@@ -125,17 +96,16 @@ std::unique_ptr<Engine> make_engine(const std::string& name,
     }
   }
   throw Error("unknown engine name '" + name +
-              "'; known: cpu[-batch|-vec|-sweep][-risk][-mt[N]], "
-              "xilinx-baseline, dataflow, dataflow-interoption, vectorised, "
-              "multi-N, cluster-MxN");
+              "'; known: cpu[-batch|-vec|-sweep][-risk], xilinx-baseline, "
+              "dataflow, dataflow-interoption, vectorised, multi-N, "
+              "cluster-MxN (lane counts are not part of a name: set "
+              "RuntimeConfig::workers, --workers or --lanes)");
 }
 
 std::vector<std::string> engine_names() {
-  return {"cpu",      "cpu-mt",      "cpu-batch", "cpu-batch-mt",
-          "cpu-vec",  "cpu-vec-mt",  "cpu-sweep", "cpu-sweep-mt",
-          "cpu-risk", "cpu-batch-risk", "cpu-vec-risk",
-          "xilinx-baseline", "dataflow", "dataflow-interoption",
-          "vectorised", "multi-5"};
+  return {"cpu",      "cpu-batch",      "cpu-vec",      "cpu-sweep",
+          "cpu-risk", "cpu-batch-risk", "cpu-vec-risk", "xilinx-baseline",
+          "dataflow", "dataflow-interoption", "vectorised", "multi-5"};
 }
 
 }  // namespace cdsflow::engine

@@ -3,28 +3,21 @@
 /// sharded runtime.
 ///
 /// Recognised names:
-///   "cpu"                   single-thread CPU engine (scalar kernel)
-///   "cpu-mt"                CPU engine on all hardware threads
-///   "cpu-mt<N>"             CPU engine on N threads (e.g. "cpu-mt8")
-///   "cpu-batch"             single-thread batched SoA fast-path kernel
-///   "cpu-batch-mt"          batch kernel on all hardware threads
-///   "cpu-batch-mt<N>"       batch kernel on N threads
+///   "cpu"                   CPU engine, scalar reference kernel
+///   "cpu-batch"             batched SoA fast-path kernel
 ///   "cpu-vec"               batch kernel on the SIMD vector kernels at the
 ///                           host's best level (cds/vector_kernel.hpp;
 ///                           scalar fallback when the host has none)
-///   "cpu-vec-mt[<N>]"       vector kernel on all / N threads
-///   "cpu-risk"              scalar kernel + per-option Greeks (naive
-///                           bumped-repricing loop)
-///   "cpu-risk-mt[<N>]"      scalar risk kernel on all / N threads
-///   "cpu-batch-risk"        batched Greeks over the precomputed grids
-///                           (BatchPricer::price_with_sensitivities)
-///   "cpu-batch-risk-mt[<N>]"  batched risk kernel on all / N threads
-///   "cpu-vec-risk[-mt[<N>]]"  batched Greeks on the vector kernels
-///   "cpu-sweep[-mt[<N>]]"   scenario-sweep family (cds::SweepPricer /
+///   "cpu-sweep"             scenario-sweep family (cds::SweepPricer /
 ///                           runtime::SweepRuntime): the planner probes and
-///                           plans these with the scenario count as the
+///                           plans it with the scenario count as the
 ///                           workload axis; for a plain price() call the
 ///                           engine is "cpu-vec" bit for bit
+///   "cpu-risk"              scalar kernel + per-option Greeks (naive
+///                           bumped-repricing loop)
+///   "cpu-batch-risk"        batched Greeks over the precomputed grids
+///                           (BatchPricer::price_with_sensitivities)
+///   "cpu-vec-risk"          batched Greeks on the vector kernels
 ///   "xilinx-baseline"       Vitis library model
 ///   "dataflow"              optimised dataflow, restart per option
 ///   "dataflow-interoption"  free-running dataflow
@@ -32,24 +25,28 @@
 ///   "multi-<N>"             N vectorised engines (e.g. "multi-5")
 ///   "cluster-<M>x<N>"       M cards of N vectorised engines each
 ///
-/// The CPU family name is assembled as
-/// "cpu[-batch|-vec|-sweep][-risk][-mt[N]]": the optional kernel token picks
-/// the CpuKernel ("-batch" the fast-path kernel, "-vec" the same kernel on
-/// the SIMD lanes, "-sweep" the scenario-sweep family, none the reference
-/// kernel), "-risk" switches the run to sensitivities, "-mt[N]" sets the
-/// thread count. Risk-mode details (bump size, ladder edges) ride in the
-/// CpuEngineConfig argument. parse_cpu_engine_name and cpu_engine_name are
-/// the grammar's only two homes: every CPU name in the tree -- the engines'
-/// own name(), the planner's candidates, the stream and cluster runtimes --
-/// goes through them.
+/// The CPU family name is assembled as "cpu[-batch|-vec|-sweep][-risk]": the
+/// optional kernel token picks the CpuKernel ("-batch" the fast-path
+/// kernel, "-vec" the same kernel on the SIMD lanes, "-sweep" the
+/// scenario-sweep family, none the reference kernel) and "-risk" switches
+/// the run to sensitivities. Risk-mode details (bump size, ladder edges)
+/// ride in the CpuEngineConfig argument. parse_cpu_engine_name and
+/// cpu_engine_name are the grammar's only two homes: every CPU name in the
+/// tree -- the engines' own name(), the planner's candidates, the stream and
+/// cluster runtimes -- goes through them. A CPU engine prices on the calling
+/// thread; the lane count is never part of a name. It comes from
+/// runtime::RuntimeConfig::workers (or StreamConfig::lanes,
+/// SweepRuntimeConfig::workers), which the CLI sets with --workers / --lanes.
 ///
 /// Determinism guarantee: engine construction is pure (no global state), and
 /// every engine the registry returns prices deterministically for a fixed
-/// name + config + inputs -- thread-count variants of the CPU engines
-/// partition work but never change per-option arithmetic, so "cpu-batch-mt8"
-/// reproduces "cpu-batch" bit-for-bit, and likewise for the risk variants.
-/// That is the property the sharded runtime's submission-order merge relies
-/// on (see runtime/portfolio_runtime.hpp).
+/// name + config + inputs. Per-option results never depend on which other
+/// options share the call (the vector kernel is alignment-invariant,
+/// docs/VECTOR_LANES.md), so runtime::PortfolioRuntime over N lanes
+/// reproduces the single engine of the same name bit for bit -- spreads,
+/// and for the risk kernels the Sensitivities and CS01-ladder rows -- for
+/// every N and shard size. That is the property the sharded runtime's
+/// submission-order merge relies on (see runtime/portfolio_runtime.hpp).
 
 #pragma once
 
@@ -70,24 +67,22 @@ std::unique_ptr<Engine> make_engine(const std::string& name,
                                     const FpgaEngineConfig& fpga_config = {},
                                     const CpuEngineConfig& cpu_config = {});
 
-/// Parses a "cpu[-batch|-vec|-sweep][-risk][-mt[N]]" family name into
-/// `config`: kernel and threads from the name, risk_mode set by "-risk" (a
-/// config that already has it keeps it); other fields are left untouched.
+/// Parses a "cpu[-batch|-vec|-sweep][-risk]" family name into `config`:
+/// the kernel from the name, risk_mode set by "-risk" (a config that
+/// already has it keeps it); other fields are left untouched.
 /// Returns false -- leaving `config` unmodified -- when `name` is not a
 /// CPU-family name. make_engine uses it, and the streaming runtime reuses it
 /// so `cdsflow_cli stream` accepts the same engine names (risk mode
 /// included) as the batch commands.
 bool parse_cpu_engine_name(const std::string& name, CpuEngineConfig& config);
 
-/// Assembles the "cpu[-batch|-vec|-sweep][-risk][-mt[N]]" family name -- the
-/// inverse of parse_cpu_engine_name (threads == 1 omits the -mt token,
-/// threads == 0 means all hardware threads, "-mt"). CpuEngine::name() and
-/// the planner's CPU candidates are built with it.
-std::string cpu_engine_name(CpuKernel kernel, bool risk_mode,
-                            unsigned threads);
+/// Assembles the "cpu[-batch|-vec|-sweep][-risk]" family name -- the
+/// inverse of parse_cpu_engine_name. CpuEngine::name() and the planner's
+/// CPU candidates are built with it.
+std::string cpu_engine_name(CpuKernel kernel, bool risk_mode);
 
-/// All fixed registry names (the parametrised multi-N/cpu-mtN forms are
-/// represented by "multi-5" and "cpu-mt").
+/// All fixed registry names (the parametrised multi-N form is represented
+/// by "multi-5").
 std::vector<std::string> engine_names();
 
 }  // namespace cdsflow::engine

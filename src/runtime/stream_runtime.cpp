@@ -65,8 +65,8 @@ cds::StreamPricerConfig stream_pricer_config(const StreamConfig& config) {
   engine::CpuEngineConfig cpu;
   CDSFLOW_EXPECT(engine::parse_cpu_engine_name(config.engine, cpu),
                  "stream runtime needs a CPU-family engine name "
-                 "(cpu[-batch|-vec|-sweep][-risk][-mt[N]]); simulated engines "
-                 "price through the batch runtime");
+                 "(cpu[-batch|-vec|-sweep][-risk]); simulated engines price "
+                 "through the batch runtime");
   cds::StreamPricerConfig pricer;
   pricer.risk_mode = cpu.risk_mode;
   pricer.risk_bump = config.risk_bump;
@@ -82,17 +82,9 @@ StreamRuntime::StreamRuntime(cds::TermStructure interest,
   CDSFLOW_EXPECT(config_.max_batch > 0, "max_batch must be positive");
   pricer_config_ = stream_pricer_config(config_);
 
-  unsigned lanes = config_.lanes;
-  if (lanes == 0 && config_.engine.find("-mt") != std::string::npos) {
-    // Keyed on the token, not the parsed thread count, so an explicit
-    // "-mt1" really means one lane ("cpu" with no token also parses to
-    // threads == 1 but should default to all cores below).
-    engine::CpuEngineConfig cpu;
-    engine::parse_cpu_engine_name(config_.engine, cpu);  // checked above
-    lanes = cpu.threads;  // "-mt" leaves 0 = all cores, "-mtN" sets N
-  }
-  if (lanes == 0) lanes = std::max(1u, std::thread::hardware_concurrency());
-  lanes_ = lanes;
+  lanes_ = config_.lanes != 0
+               ? config_.lanes
+               : std::max(1u, std::thread::hardware_concurrency());
 
   pricers_.reserve(lanes_);
   for (unsigned i = 0; i < lanes_; ++i) {

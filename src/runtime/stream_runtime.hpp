@@ -71,16 +71,14 @@
 namespace cdsflow::runtime {
 
 struct StreamConfig {
-  /// CPU-family engine name, "cpu[-batch|-vec|-sweep][-risk][-mt[N]]". The
-  /// stream lanes always run the batched grid kernel; the kernel token sets
-  /// its SIMD level through engine::cpu_kernel_level ("cpu" and "-batch"
+  /// CPU-family engine name, "cpu[-batch|-vec|-sweep][-risk]". The stream
+  /// lanes always run the batched grid kernel; the kernel token sets its
+  /// SIMD level through engine::cpu_kernel_level ("cpu" and "-batch"
   /// kScalar, "-vec" and "-sweep" the host's best), so a one-lane stream
   /// prices bit-identically to the engine of the same name. "-risk"
-  /// switches the micro-batches to Greeks, and "-mt[N]" sets the lane count
-  /// when `lanes` is 0.
+  /// switches the micro-batches to Greeks. The name carries no lane count.
   std::string engine = "cpu-batch";
-  /// Pricer lanes (= replicas). 0: take the engine name's -mtN, else
-  /// hardware_concurrency.
+  /// Pricer lanes (= replicas). 0 selects hardware_concurrency (all cores).
   unsigned lanes = 0;
   std::size_t queue_capacity = 8192;
   BackpressurePolicy policy = BackpressurePolicy::kBlock;

@@ -348,12 +348,9 @@ TEST(CpuBatchEngine, RegistryParsesBatchNames) {
   auto one = engine::make_engine("cpu-batch", scenario.interest,
                                  scenario.hazard);
   EXPECT_EQ(one->name(), "cpu-batch");
-  auto two = engine::make_engine("cpu-batch-mt2", scenario.interest,
-                                 scenario.hazard);
-  EXPECT_EQ(two->name(), "cpu-batch-mt2");
-  const auto run = two->price(scenario.options);
+  const auto run = one->price(scenario.options);
   EXPECT_EQ(run.results.size(), scenario.options.size());
-  EXPECT_THROW(engine::make_engine("cpu-batch-mt0", scenario.interest,
+  EXPECT_THROW(engine::make_engine("cpu-batch-mt2", scenario.interest,
                                    scenario.hazard),
                Error);
 }
@@ -373,39 +370,6 @@ TEST(CpuBatchEngine, MatchesScalarCpuEngine) {
                                   want.results[i].spread_bps),
               kParityTol)
         << "at " << i;
-  }
-}
-
-TEST(CpuBatchEngine, ThreadedRunMatchesSingleThread) {
-  const auto scenario = workload::smoke_scenario(61, 13);
-  auto one = engine::make_engine("cpu-batch", scenario.interest,
-                                 scenario.hazard);
-  auto four = engine::make_engine("cpu-batch-mt4", scenario.interest,
-                                  scenario.hazard);
-  const auto want = one->price(scenario.options);
-  const auto got = four->price(scenario.options);
-  ASSERT_EQ(got.results.size(), want.results.size());
-  for (std::size_t i = 0; i < want.results.size(); ++i) {
-    EXPECT_EQ(got.results[i].id, want.results[i].id);
-    EXPECT_EQ(got.results[i].spread_bps, want.results[i].spread_bps)
-        << "at " << i;
-  }
-}
-
-TEST(CpuBatchEngine, InvalidOptionSurfacesAsErrorFromThreadedRuns) {
-  // An exception inside the OpenMP region / worker threads must surface as
-  // a catchable Error, not terminate the process.
-  const auto scenario = workload::smoke_scenario(12);
-  auto book = scenario.options;
-  book[7].maturity_years = -1.0;
-  for (const auto* name : {"cpu-mt3", "cpu-batch-mt3"}) {
-    SCOPED_TRACE(name);
-    auto engine = engine::make_engine(name, scenario.interest,
-                                      scenario.hazard);
-    EXPECT_THROW(engine->price(book), Error);
-    // The engine stays usable after the failed batch.
-    const auto run = engine->price(scenario.options);
-    EXPECT_EQ(run.results.size(), scenario.options.size());
   }
 }
 

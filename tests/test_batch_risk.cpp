@@ -233,14 +233,10 @@ TEST(RiskEngines, RegistryParsesRiskNames) {
   auto batch_risk = engine::make_engine("cpu-batch-risk", scenario.interest,
                                         scenario.hazard);
   EXPECT_EQ(batch_risk->name(), "cpu-batch-risk");
-  auto batch_risk_mt = engine::make_engine("cpu-batch-risk-mt2",
-                                           scenario.interest,
-                                           scenario.hazard);
-  EXPECT_EQ(batch_risk_mt->name(), "cpu-batch-risk-mt2");
   auto scalar_risk = engine::make_engine("cpu-risk", scenario.interest,
                                          scenario.hazard);
   EXPECT_EQ(scalar_risk->name(), "cpu-risk");
-  EXPECT_THROW(engine::make_engine("cpu-batch-risk-mt0", scenario.interest,
+  EXPECT_THROW(engine::make_engine("cpu-batch-risk-mt2", scenario.interest,
                                    scenario.hazard),
                Error);
 }
@@ -287,26 +283,6 @@ TEST(RiskEngines, ScalarAndBatchRiskEnginesAgree) {
   for (std::size_t i = 0; i < want.cs01_ladder.size(); ++i) {
     expect_close(got.cs01_ladder[i], want.cs01_ladder[i], "ladder", i);
   }
-}
-
-TEST(RiskEngines, ThreadedRiskRunMatchesSingleThread) {
-  const auto scenario = workload::smoke_scenario(61, 13);
-  engine::CpuEngineConfig cfg;
-  cfg.ladder_edges = {0.0, 5.0, 30.0};
-  auto one = engine::make_engine("cpu-batch-risk", scenario.interest,
-                                 scenario.hazard, {}, cfg);
-  auto four = engine::make_engine("cpu-batch-risk-mt4", scenario.interest,
-                                  scenario.hazard, {}, cfg);
-  const auto want = one->price(scenario.options);
-  const auto got = four->price(scenario.options);
-  ASSERT_EQ(got.sensitivities.size(), want.sensitivities.size());
-  for (std::size_t i = 0; i < want.sensitivities.size(); ++i) {
-    EXPECT_EQ(got.sensitivities[i].cs01, want.sensitivities[i].cs01);
-    EXPECT_EQ(got.sensitivities[i].ir01, want.sensitivities[i].ir01);
-    EXPECT_EQ(got.sensitivities[i].rec01, want.sensitivities[i].rec01);
-    EXPECT_EQ(got.sensitivities[i].jtd, want.sensitivities[i].jtd);
-  }
-  EXPECT_EQ(got.cs01_ladder, want.cs01_ladder);
 }
 
 TEST(RiskEngines, DeterministicThroughPortfolioRuntime) {

@@ -3,14 +3,17 @@
 /// (heterogeneous divergence, link charging) plus end-to-end coordinator /
 /// worker runs over real unix-domain sockets -- the bit-identity contract
 /// (docs/CLUSTER.md) against the in-process PortfolioRuntime, and the
-/// coordinator edge cases: connect timeout, mid-shard worker death with
-/// orphan resubmission, wrong-mode rejection, and version-mismatch
+/// coordinator edge cases: timeout validation, connect timeout, mid-shard
+/// worker death with orphan resubmission, wrong-mode rejection, reuse of a
+/// coordinator (and its drive lanes) after either, and version-mismatch
 /// poisoning at the worker.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -107,6 +110,12 @@ cluster::NodeSpec node_spec(const std::string& path) {
   // fits, not on loopback timing noise.
   spec.measure_latency = false;
   return spec;
+}
+
+/// Threads of this process: one /proc/self/task entry each.
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
 }
 
 void expect_run_bit_identical(const engine::PricingRun& a,
@@ -301,6 +310,37 @@ TEST(ClusterRuntime, ConnectTimeoutNamesTheUnreachableNode) {
   }
 }
 
+TEST(ClusterRuntime, OutOfRangeTimeoutsAreRejectedBeforeConnecting) {
+  // Both timeouts end up as poll()'s int millisecond count: NaN, negative
+  // and out-of-range values (1e300 s, or 30 days > INT_MAX ms) must fail
+  // construction instead of converting undefinedly or wrapping into a
+  // 1 ms timeout that declares a healthy node dead.
+  InProcessWorker worker("cluster-timeouts", pinned_worker("cpu-batch", 1e6));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double thirty_days = 30.0 * 24 * 3600;
+  for (const double bad : {nan, -1.0, 1e300, thirty_days}) {
+    SCOPED_TRACE(bad);
+    cluster::CoordinatorConfig config;
+    config.nodes = {node_spec(worker.path)};
+    config.response_timeout_seconds = bad;
+    EXPECT_THROW(cluster::ClusterCoordinator{config}, Error);
+
+    config.response_timeout_seconds = 300.0;
+    config.nodes[0].connect_timeout_seconds = bad;
+    EXPECT_THROW(cluster::ClusterCoordinator{config}, Error);
+  }
+  cluster::CoordinatorConfig config;
+  config.nodes = {node_spec(worker.path)};
+  config.response_timeout_seconds = 0.0;  // must be positive
+  EXPECT_THROW(cluster::ClusterCoordinator{config}, Error);
+  // In range: a zero connect timeout (one attempt) and a 24-day response
+  // timeout construct.
+  config.response_timeout_seconds = 24.0 * 24 * 3600;
+  config.nodes[0].connect_timeout_seconds = 0.0;
+  cluster::ClusterCoordinator coordinator(config);
+  EXPECT_EQ(coordinator.nodes().size(), 1u);
+}
+
 TEST(ClusterRuntime, MidShardWorkerDeathResubmitsOrphansToSurvivors) {
   // The failing node answers two shards, then drops the connection with the
   // third in flight; its orphans (in-flight + queued) must drain through
@@ -313,7 +353,9 @@ TEST(ClusterRuntime, MidShardWorkerDeathResubmitsOrphansToSurvivors) {
   cluster::CoordinatorConfig config;
   config.nodes = {node_spec(dying.path), node_spec(healthy.path)};
   config.shard_size = 32;  // 10 shards over 320 options
+  const std::size_t threads_before = live_threads();
   cluster::ClusterCoordinator coordinator(config);
+  EXPECT_EQ(live_threads(), threads_before) << "construction starts no thread";
 
   const auto book = test_book(320);
   const auto plan = coordinator.plan(book.size());
@@ -324,36 +366,64 @@ TEST(ClusterRuntime, MidShardWorkerDeathResubmitsOrphansToSurvivors) {
   EXPECT_EQ(run.nodes_lost, 1u);
   EXPECT_GE(run.resubmissions, 1u);
   ASSERT_EQ(run.run.results.size(), book.size());
+  // The first multi-node call starts one drive lane per node and keeps it.
+  const std::size_t threads_after_first = live_threads();
+  EXPECT_EQ(threads_after_first, threads_before + 2);
 
   runtime::RuntimeConfig local_config;
   local_config.engine = "cpu-batch";
   local_config.workers = 1;
   runtime::PortfolioRuntime local(test_interest(), test_hazard(),
                                   local_config);
-  expect_run_bit_identical(run.run, local.price(book).run, false);
+  const auto want = local.price(book).run;
+  expect_run_bit_identical(run.run, want, false);
   // Every shard the dying node never priced was re-priced by the survivor.
   for (const auto& shard : run.shards) {
     if (shard.resubmitted) {
       EXPECT_EQ(shard.node, 1u);
     }
   }
+
+  // The coordinator stays usable: the dead node is still in the plan, its
+  // drive task finds the connection gone and orphans every shard, and the
+  // survivor prices the whole book on the same lanes.
+  EXPECT_EQ(coordinator.plan(book.size()).shards_per_node[0],
+            plan.shards_per_node[0]);
+  const auto again = coordinator.price(book);
+  EXPECT_EQ(again.nodes_lost, 1u);
+  EXPECT_EQ(again.resubmissions, plan.shards_per_node[0]);
+  expect_run_bit_identical(again.run, want, false);
+  for (const auto& shard : again.shards) {
+    EXPECT_EQ(shard.node, 1u);
+  }
+  EXPECT_EQ(live_threads(), threads_after_first);
 }
 
 TEST(ClusterRuntime, WrongModeWorkerRejectionIsFatalNotResubmitted) {
   // A price-mode worker sent risk shards is a configuration error: the
-  // worker answers kWrongMode and the run aborts instead of retrying.
-  InProcessWorker worker("cluster-mode", pinned_worker("cpu-batch", 1e6));
-  cluster::CoordinatorConfig config;
-  config.nodes = {node_spec(worker.path)};
-  config.risk = true;
-  cluster::ClusterCoordinator coordinator(config);
-  try {
-    coordinator.price(test_book(64));
-    FAIL() << "expected a wrong-mode rejection";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("rejected a shard"), std::string::npos) << what;
-    EXPECT_NE(what.find("wrong-mode"), std::string::npos) << what;
+  // worker answers kWrongMode and the run aborts instead of retrying. A
+  // second call on the same coordinator fails the same way instead of
+  // hanging -- driven inline on one node, on the drive lanes on two.
+  InProcessWorker a("cluster-mode-a", pinned_worker("cpu-batch", 1e6));
+  InProcessWorker b("cluster-mode-b", pinned_worker("cpu-batch", 1e6));
+  for (const std::size_t n_nodes : {1u, 2u}) {
+    SCOPED_TRACE(n_nodes);
+    cluster::CoordinatorConfig config;
+    config.nodes = {node_spec(a.path)};
+    if (n_nodes == 2) config.nodes.push_back(node_spec(b.path));
+    config.risk = true;
+    cluster::ClusterCoordinator coordinator(config);
+    for (int call = 0; call < 2; ++call) {
+      SCOPED_TRACE(call);
+      try {
+        coordinator.price(test_book(64));
+        FAIL() << "expected a wrong-mode rejection";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("rejected a shard"), std::string::npos) << what;
+        EXPECT_NE(what.find("wrong-mode"), std::string::npos) << what;
+      }
+    }
   }
 }
 

@@ -49,7 +49,7 @@ class EnginesFixture : public ::testing::Test {
 // --- CPU ----------------------------------------------------------------------
 
 TEST_F(EnginesFixture, CpuSerialMatchesGoldenExactly) {
-  CpuEngine engine(scenario_.interest, scenario_.hazard, {.threads = 1});
+  CpuEngine engine(scenario_.interest, scenario_.hazard);
   const auto run = engine.price(scenario_.options);
   expect_matches_golden(run, 1e-15);  // same code path: bitwise
   EXPECT_EQ(run.kernel_cycles, 0u);
@@ -57,48 +57,49 @@ TEST_F(EnginesFixture, CpuSerialMatchesGoldenExactly) {
   EXPECT_GT(run.options_per_second, 0.0);
 }
 
-TEST_F(EnginesFixture, CpuParallelMatchesSerial) {
-  CpuEngine serial(scenario_.interest, scenario_.hazard, {.threads = 1});
-  CpuEngine parallel(scenario_.interest, scenario_.hazard, {.threads = 4});
-  const auto a = serial.price(scenario_.options);
-  const auto b = parallel.price(scenario_.options);
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.results[i].spread_bps, b.results[i].spread_bps);
-  }
-}
-
-TEST(CpuEngine, ZeroThreadsSelectsHardwareConcurrency) {
-  const auto s = workload::smoke_scenario(4);
-  CpuEngine engine(s.interest, s.hazard, {.threads = 0});
-  EXPECT_GE(engine.threads(), 1u);
-}
-
 TEST(Registry, CpuEngineNameRoundTripsThroughParse) {
   const auto s = workload::smoke_scenario(4);
   for (const CpuKernel kernel : {CpuKernel::kReference, CpuKernel::kBatch,
                                  CpuKernel::kVec, CpuKernel::kSweep}) {
     for (const bool risk : {false, true}) {
-      for (const unsigned threads : {0u, 1u, 2u, 24u}) {
-        const std::string name = cpu_engine_name(kernel, risk, threads);
-        CpuEngineConfig config;
-        ASSERT_TRUE(parse_cpu_engine_name(name, config)) << name;
-        EXPECT_EQ(config.kernel, kernel) << name;
-        EXPECT_EQ(config.risk_mode, risk) << name;
-        EXPECT_EQ(config.threads, threads) << name;
-        // "-mt" (threads == 0) resolves to the host's thread count, so only
-        // explicit counts name the engine exactly as asked.
-        if (threads >= 1) {
-          EXPECT_EQ(make_engine(name, s.interest, s.hazard)->name(), name);
-        }
-      }
+      const std::string name = cpu_engine_name(kernel, risk);
+      CpuEngineConfig config;
+      ASSERT_TRUE(parse_cpu_engine_name(name, config)) << name;
+      EXPECT_EQ(config.kernel, kernel) << name;
+      EXPECT_EQ(config.risk_mode, risk) << name;
+      EXPECT_EQ(make_engine(name, s.interest, s.hazard)->name(), name);
     }
   }
-  EXPECT_EQ(cpu_engine_name(CpuKernel::kReference, false, 1), "cpu");
-  EXPECT_EQ(cpu_engine_name(CpuKernel::kBatch, true, 8),
-            "cpu-batch-risk-mt8");
-  EXPECT_EQ(cpu_engine_name(CpuKernel::kSweep, false, 1), "cpu-sweep");
-  EXPECT_EQ(cpu_engine_name(CpuKernel::kSweep, false, 0), "cpu-sweep-mt");
-  EXPECT_EQ(cpu_engine_name(CpuKernel::kSweep, false, 8), "cpu-sweep-mt8");
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kReference, false), "cpu");
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kBatch, true), "cpu-batch-risk");
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kSweep, false), "cpu-sweep");
+}
+
+TEST(Registry, LaneSuffixIsNotACpuEngineName) {
+  // Lane counts live in RuntimeConfig::workers / StreamConfig::lanes, never
+  // in a name: the retired "-mt[N]" suffix fails loudly, with no alias.
+  const auto s = workload::smoke_scenario(4);
+  for (const char* name :
+       {"cpu-mt", "cpu-mt2", "cpu-batch-mt4", "cpu-vec-risk-mt8"}) {
+    SCOPED_TRACE(name);
+    CpuEngineConfig config;
+    EXPECT_FALSE(parse_cpu_engine_name(name, config));
+    EXPECT_EQ(config.kernel, CpuKernel::kReference);  // left unmodified
+    EXPECT_FALSE(config.risk_mode);
+    try {
+      make_engine(name, s.interest, s.hazard);
+      FAIL() << "expected an unknown-name error";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("cpu[-batch|-vec|-sweep][-risk]"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("RuntimeConfig::workers"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("--workers"), std::string::npos) << what;
+      EXPECT_NE(what.find("--lanes"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Registry, SweepEngineConstructsAndPricesLikeVec) {
@@ -269,8 +270,7 @@ TEST_F(EnginesFixture, RegistryBuildsEveryFixedName) {
 TEST_F(EnginesFixture, RegistryParsesParameterisedNames) {
   auto multi = make_engine("multi-3", scenario_.interest, scenario_.hazard);
   EXPECT_EQ(multi->name(), "multi-3");
-  auto mt = make_engine("cpu-mt2", scenario_.interest, scenario_.hazard);
-  const auto run = mt->price(scenario_.options);
+  const auto run = multi->price(scenario_.options);
   EXPECT_EQ(run.results.size(), scenario_.options.size());
 }
 
@@ -300,24 +300,6 @@ TEST_F(EnginesFixture, EmptyPortfolioRejectedEverywhere) {
   EXPECT_THROW(stream.price(empty), Error);
   XilinxBaselineEngine baseline(scenario_.interest, scenario_.hazard);
   EXPECT_THROW(baseline.price(empty), Error);
-}
-
-TEST_F(EnginesFixture, WorkerThreadExceptionSurfacesAsError) {
-  // Regression for CpuEngine::price()'s first-error slot: an unpriceable
-  // option throws inside a worker thread; the engine must capture the
-  // first exception under the slot's lock and rethrow after the join as a
-  // catchable Error. The worker body is noexcept, so without the capture
-  // the exception would escape a thread and terminate the process.
-  CpuEngineConfig cfg;
-  cfg.threads = 4;
-  CpuEngine engine(scenario_.interest, scenario_.hazard, cfg);
-  auto book = scenario_.options;
-  ASSERT_GE(book.size(), 8u);  // several chunks; the bad row is not in chunk 0
-  book.back().maturity_years = -1.0;  // no premium schedule -> zero annuity
-  EXPECT_THROW(engine.price(book), Error);
-  // A failed run must not wedge the engine: the slot is per-call state.
-  const auto run = engine.price(scenario_.options);
-  EXPECT_EQ(run.results.size(), scenario_.options.size());
 }
 
 TEST(BatchTraffic, ScalesWithInputs) {

@@ -31,7 +31,7 @@ std::vector<BackendCandidate> synthetic_candidates() {
       make_candidate("cpu", 60.0, 10'000.0),        // slow, mid power
       make_candidate("multi-1", 35.8, 26'000.0),    // fast-ish, low power
       make_candidate("multi-5", 37.4, 100'000.0),   // fastest, low power
-      make_candidate("cpu-mt24", 175.0, 75'000.0),  // fast, high power
+      make_candidate("cpu-x24", 175.0, 75'000.0),   // fast, high power
   };
 }
 
@@ -342,7 +342,6 @@ TEST(Planner, EnumerateMeasuresRealBackends) {
   config.probe_sizes = {16, 48};
   config.probe_warmup_runs = 1;
   config.probe_repeats = 2;
-  config.cpu_thread_counts = {1};
   config.fpga_engine_counts = {1, 2};
   // Keep the candidate list host-independent (cpu-vec appears only on SIMD
   // hosts; its enumeration is covered by tests/test_vector_kernel.cpp).
@@ -375,7 +374,6 @@ TEST(Planner, EnumerateCanSkipCpuBatch) {
   const auto scenario = workload::smoke_scenario(4);
   PlannerConfig config;
   config.probe_sizes = {16};
-  config.cpu_thread_counts = {1};
   config.fpga_engine_counts = {1};
   config.probe_cpu_batch = false;
   config.probe_cpu_vec = false;
@@ -390,7 +388,6 @@ TEST(Planner, EnumerateRiskModeProbesRiskEnginesOnly) {
   const auto scenario = workload::smoke_scenario(4);
   PlannerConfig config;
   config.probe_sizes = {16};
-  config.cpu_thread_counts = {1};
   config.risk_mode = true;
   config.probe_cpu_vec = false;  // host-independent candidate list
   const auto candidates =
@@ -408,14 +405,13 @@ TEST(Planner, EnumerateSweepModeProbesSweepCandidatesOnly) {
   config.probe_sizes = {16, 48};  // scenario counts, not option counts
   config.probe_warmup_runs = 1;
   config.probe_repeats = 1;
-  config.cpu_thread_counts = {1, 2};
   config.sweep_mode = true;
   config.sweep_probe_options = 32;
   const auto candidates =
       enumerate_backends(scenario.interest, scenario.hazard, config);
-  ASSERT_EQ(candidates.size(), 2u);
+  // One single-lane candidate; plan_runtime() expands the lanes.
+  ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].engine_name, "cpu-sweep");
-  EXPECT_EQ(candidates[1].engine_name, "cpu-sweep-mt2");
   for (const auto& c : candidates) {
     EXPECT_GT(c.options_per_second, 0.0) << c.engine_name;  // scenarios/s
     EXPECT_GE(c.setup_seconds, 0.0) << c.engine_name;
@@ -427,9 +423,9 @@ TEST(Planner, EnumerateSweepModeProbesSweepCandidatesOnly) {
 }
 
 TEST(Planner, PlanRuntimeExpandsSweepCandidatesUnchanged) {
-  // "cpu-sweep" parses as a single-threaded CPU family name, so the
-  // standard plan_runtime expansion sweeps workers x shard_size over the
-  // scenario axis with zero sweep-specific planning logic.
+  // "cpu-sweep" parses as a CPU family name, so the standard plan_runtime
+  // expansion sweeps workers x shard_size over the scenario axis with zero
+  // sweep-specific planning logic.
   const std::vector<BackendCandidate> candidates = {
       make_candidate("cpu-sweep", 60.0, 50'000.0, 1e-3)};
   BatchRequirements req;

@@ -1,15 +1,20 @@
 /// \file test_runtime.cpp
 /// The sharded portfolio runtime: shard planning, shard-boundary
-/// correctness (bit-identical to a single-engine run, including empty and
-/// one-option books), determinism across worker counts, the modelled
-/// multi-lane scaling, and failing shards on a multi-lane runtime.
+/// correctness (bit-identical to a single-engine run for every CPU kernel
+/// and risk mode, including empty and one-option books), determinism
+/// across worker counts, the modelled multi-lane scaling, failing shards on
+/// a multi-lane runtime, and when the lanes' threads start.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <latch>
 #include <thread>
 #include <vector>
@@ -171,6 +176,32 @@ TEST(ShardRunner, WaitsForEveryShardBeforeRethrowing) {
   EXPECT_EQ(schedule.lane.size(), plan.size());
 }
 
+/// Threads of this process: one /proc/self/task entry each.
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+TEST(ShardRunner, ZeroLanesMeansAllCoresAndNoThreadStartsBeforeRun) {
+  const std::size_t before = live_threads();
+  const runtime::ShardRunner all_cores(0);
+  EXPECT_EQ(all_cores.lanes(),
+            std::max(1u, std::thread::hardware_concurrency()));
+  runtime::ShardRunner three(3);
+  EXPECT_EQ(three.lanes(), 3u);
+  EXPECT_EQ(live_threads(), before);
+
+  // The first run starts the lanes; later runs reuse them.
+  const auto plan = runtime::plan_shards(6, 1);
+  const auto one_second = [](const runtime::Shard&, unsigned) { return 1.0; };
+  three.run(plan, one_second);
+  EXPECT_EQ(live_threads(), before + 3);
+  three.run(plan, one_second);
+  EXPECT_EQ(live_threads(), before + 3);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 /// Bit-identical: sharded pricing must merge to exactly the bytes the
 /// single-engine baseline produces, in submission order.
 void expect_identical(const std::vector<cds::SpreadResult>& got,
@@ -178,30 +209,86 @@ void expect_identical(const std::vector<cds::SpreadResult>& got,
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].id, want[i].id) << "at " << i;
-    EXPECT_EQ(got[i].spread_bps, want[i].spread_bps) << "at " << i;
+    EXPECT_EQ(bits(got[i].spread_bps), bits(want[i].spread_bps)) << "at " << i;
+  }
+}
+
+/// The same for a risk run's Sensitivities and CS01-ladder rows.
+void expect_identical_risk(const engine::PricingRun& got,
+                           const engine::PricingRun& want) {
+  ASSERT_EQ(got.sensitivities.size(), want.sensitivities.size());
+  for (std::size_t i = 0; i < want.sensitivities.size(); ++i) {
+    const auto& g = got.sensitivities[i];
+    const auto& w = want.sensitivities[i];
+    EXPECT_EQ(bits(g.spread_bps), bits(w.spread_bps)) << "at " << i;
+    EXPECT_EQ(bits(g.cs01), bits(w.cs01)) << "at " << i;
+    EXPECT_EQ(bits(g.ir01), bits(w.ir01)) << "at " << i;
+    EXPECT_EQ(bits(g.rec01), bits(w.rec01)) << "at " << i;
+    EXPECT_EQ(bits(g.jtd), bits(w.jtd)) << "at " << i;
+  }
+  EXPECT_EQ(got.ladder_buckets, want.ladder_buckets);
+  ASSERT_EQ(got.cs01_ladder.size(), want.cs01_ladder.size());
+  for (std::size_t i = 0; i < want.cs01_ladder.size(); ++i) {
+    EXPECT_EQ(bits(got.cs01_ladder[i]), bits(want.cs01_ladder[i]))
+        << "ladder cell " << i;
   }
 }
 
 TEST(PortfolioRuntime, MatchesSingleEngineAcrossShardBoundaries) {
+  // The registry's determinism contract: N lanes of an engine merge to the
+  // single engine's bytes -- for every CPU kernel and risk mode (a CPU
+  // engine's only parallelism is the runtime's lanes) and for the
+  // simulated engines.
   const auto scenario = workload::smoke_scenario(53, 11);
-  for (const auto* name : {"cpu", "dataflow", "vectorised"}) {
+  engine::CpuEngineConfig cpu;
+  cpu.ladder_edges = {0.0, 2.0, 5.0, 30.0};  // 3 buckets
+  for (const auto* name :
+       {"cpu", "cpu-batch", "cpu-vec", "cpu-sweep", "cpu-risk",
+        "cpu-batch-risk", "cpu-vec-risk", "dataflow", "vectorised"}) {
     SCOPED_TRACE(name);
     auto single = engine::make_engine(name, scenario.interest,
-                                      scenario.hazard);
+                                      scenario.hazard, {}, cpu);
     const auto baseline = single->price(scenario.options);
 
     runtime::RuntimeConfig cfg;
     cfg.engine = name;
     cfg.workers = 3;
     cfg.shard_size = 7;  // 53 = 7*7 + 4: exercises a ragged final shard
+    cfg.cpu = cpu;
     runtime::PortfolioRuntime rt(scenario.interest, scenario.hazard, cfg);
     const auto run = rt.price(scenario.options);
 
     expect_identical(run.run.results, baseline.results);
+    expect_identical_risk(run.run, baseline);
+    EXPECT_EQ(run.run.sensitivities.empty(),
+              std::string(name).find("-risk") == std::string::npos);
     EXPECT_EQ(run.shards.size(), 8u);
     EXPECT_EQ(run.lanes, 3u);
     EXPECT_GT(run.run.options_per_second, 0.0);
     EXPECT_GT(run.wall_seconds, 0.0);
+  }
+}
+
+TEST(PortfolioRuntime, BadOptionOnACpuLaneThrowsAndTheNextCallMatches) {
+  // A CPU engine rejects an unpriceable option on whichever lane prices it;
+  // the runtime surfaces a catchable Error, and the next call still merges
+  // to the single engine's bytes.
+  const auto scenario = workload::smoke_scenario(12);
+  auto bad = scenario.options;
+  bad[7].maturity_years = -1.0;  // no premium schedule -> zero annuity
+  for (const auto* name : {"cpu", "cpu-batch"}) {
+    SCOPED_TRACE(name);
+    runtime::RuntimeConfig cfg;
+    cfg.engine = name;
+    cfg.workers = 3;
+    cfg.shard_size = 4;  // the bad option sits in the second shard
+    runtime::PortfolioRuntime rt(scenario.interest, scenario.hazard, cfg);
+    EXPECT_THROW(rt.price(bad), Error);
+
+    const auto want = engine::make_engine(name, scenario.interest,
+                                          scenario.hazard)
+                          ->price(scenario.options);
+    expect_identical(rt.price(scenario.options).run.results, want.results);
   }
 }
 

@@ -616,7 +616,7 @@ TEST(VectorKernel, StreamStaysBitConsistentWithBatchRebuilds) {
 
 // --- engines and registry ---------------------------------------------------
 
-TEST(VectorKernel, EngineParityAndThreadInvariance) {
+TEST(VectorKernel, EngineParity) {
   const auto interest = workload::paper_interest_curve(64, 5);
   const auto hazard = workload::paper_hazard_curve(64, 6);
   const auto book = tenor_book(192, 99);
@@ -637,17 +637,6 @@ TEST(VectorKernel, EngineParityAndThreadInvariance) {
                                   batch_run.results[i].spread_bps),
               VectorKernelContract::kSpreadRelTol);
   }
-
-  // Thread variants partition the book into per-thread chunks with their own
-  // arenas; alignment invariance keeps the registry's bit-for-bit claim.
-  const auto mt_run =
-      engine::make_engine("cpu-vec-mt2", interest, hazard)->price(book);
-  ASSERT_EQ(mt_run.results.size(), book.size());
-  for (std::size_t i = 0; i < book.size(); ++i) {
-    EXPECT_EQ(mt_run.results[i].id, vec_run.results[i].id);
-    EXPECT_EQ(mt_run.results[i].spread_bps, vec_run.results[i].spread_bps)
-        << "option " << i;
-  }
 }
 
 TEST(VectorKernel, RegistryNameGrammarRoundTrips) {
@@ -655,32 +644,25 @@ TEST(VectorKernel, RegistryNameGrammarRoundTrips) {
   ASSERT_TRUE(engine::parse_cpu_engine_name("cpu-vec", config));
   EXPECT_EQ(config.kernel, engine::CpuKernel::kVec);
   EXPECT_FALSE(config.risk_mode);
-  EXPECT_EQ(config.threads, 1u);
 
   config = {};
-  ASSERT_TRUE(engine::parse_cpu_engine_name("cpu-vec-risk-mt8", config));
+  ASSERT_TRUE(engine::parse_cpu_engine_name("cpu-vec-risk", config));
   EXPECT_EQ(config.kernel, engine::CpuKernel::kVec);
   EXPECT_TRUE(config.risk_mode);
-  EXPECT_EQ(config.threads, 8u);
-
-  config = {};
-  ASSERT_TRUE(engine::parse_cpu_engine_name("cpu-vec-mt", config));
-  EXPECT_EQ(config.kernel, engine::CpuKernel::kVec);
-  EXPECT_EQ(config.threads, 0u);  // all hardware threads
 
   config = {};
   EXPECT_FALSE(engine::parse_cpu_engine_name("cpu-vectorised", config));
   EXPECT_EQ(config.kernel, engine::CpuKernel::kReference);
+  EXPECT_FALSE(engine::parse_cpu_engine_name("cpu-vec-risk-mt8", config));
+  EXPECT_EQ(config.kernel, engine::CpuKernel::kReference);
 
-  EXPECT_EQ(engine::cpu_engine_name(engine::CpuKernel::kVec, false, 1),
+  EXPECT_EQ(engine::cpu_engine_name(engine::CpuKernel::kVec, false),
             "cpu-vec");
-  EXPECT_EQ(engine::cpu_engine_name(engine::CpuKernel::kVec, true, 8),
-            "cpu-vec-risk-mt8");
-  EXPECT_EQ(engine::cpu_engine_name(engine::CpuKernel::kBatch, false, 2),
-            "cpu-batch-mt2");
+  EXPECT_EQ(engine::cpu_engine_name(engine::CpuKernel::kVec, true),
+            "cpu-vec-risk");
 
   const auto names = engine::engine_names();
-  for (const char* name : {"cpu-vec", "cpu-vec-mt", "cpu-vec-risk"}) {
+  for (const char* name : {"cpu-vec", "cpu-vec-risk"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
         << name;
   }
@@ -695,7 +677,6 @@ TEST(VectorKernel, PlannerEnumeratesVectorCandidateOnSimdHosts) {
   config.probe_sizes = {8, 24};
   config.probe_warmup_runs = 1;
   config.probe_repeats = 1;
-  config.cpu_thread_counts = {1};
   config.fpga_engine_counts = {1};
 
   const auto has = [](const std::vector<engine::BackendCandidate>& candidates,

@@ -34,9 +34,11 @@
 /// relative (documented kernel tolerance: 1e-12).
 ///
 /// Every CPU engine name also accepts the "-vec" kernel token
-/// ("cpu-vec[-risk][-mt[N]]"): the batch kernel on the SIMD vector lanes
+/// ("cpu-vec[-risk]"): the batch kernel on the SIMD vector lanes
 /// (docs/VECTOR_LANES.md). Under --auto-plan the vector candidates are
-/// probed like any other back-end and win whenever measured fastest.
+/// probed like any other back-end and win whenever measured fastest. A CPU
+/// engine name carries no lane count: --workers (or --lanes for `serve`)
+/// sets it, 0 meaning all cores.
 ///
 ///   cdsflow_cli stream [--engine cpu-batch[-risk]] [--count N] [--seed S]
 ///                      [--rate HZ] [--max-batch B] [--max-wait-us W]
@@ -150,6 +152,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -241,6 +244,20 @@ class Args {
     return parse_double_strict(*v, "--" + key);
   }
 
+  /// The one lane-count parse (--workers, --lanes): 0 means all cores, and
+  /// a negative or oversized value is rejected here, before any runtime is
+  /// constructed with it.
+  unsigned get_lanes_or(const std::string& key, unsigned fallback) const {
+    const auto v = get(key);
+    if (!v) return fallback;
+    const long n = parse_long_strict(*v, "--" + key);
+    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+    CDSFLOW_EXPECT(n >= 0 && static_cast<unsigned long>(n) <= kMax,
+                   "--" + key + " must be in [0, " + std::to_string(kMax) +
+                       "] (0 = all cores), got '" + *v + "'");
+    return static_cast<unsigned>(n);
+  }
+
  private:
   std::map<std::string, std::string> values_;
 };
@@ -295,11 +312,7 @@ bool runtime_config_from_args(const Args& args, runtime::RuntimeConfig& cfg) {
       !args.get("replicas")) {
     return false;
   }
-  if (args.get("workers")) {
-    const long workers = args.get_long_or("workers", 0);
-    CDSFLOW_EXPECT(workers >= 0, "--workers must be >= 0 (0 = all cores)");
-    cfg.workers = static_cast<unsigned>(workers);
-  }
+  cfg.workers = args.get_lanes_or("workers", cfg.workers);
   if (args.get("shard-size")) {
     const long shard_size = args.get_long_or("shard-size", 0);
     CDSFLOW_EXPECT(shard_size >= 0, "--shard-size must be >= 0 (0 = auto)");
@@ -436,8 +449,8 @@ int cmd_risk(const Args& args) {
   const std::string engine_name = args.get_or("engine", "cpu-batch-risk");
   CDSFLOW_EXPECT(engine_name.rfind("cpu", 0) == 0,
                  "risk needs a CPU engine (cpu-risk / cpu-batch-risk / "
-                 "cpu-vec-risk, optionally -mt[N]); simulated engines only "
-                 "price");
+                 "cpu-vec-risk; --workers sets the lanes); simulated engines "
+                 "only price");
   engine::CpuEngineConfig cpu;
   cpu.risk_mode = true;  // "risk" on any cpu engine name forces risk mode
   cpu.risk_bump = args.get_double_or("bump", 1e-4);
@@ -521,9 +534,7 @@ int cmd_stream(const Args& args) {
 
   runtime::StreamConfig cfg;
   cfg.engine = args.get_or("engine", "cpu-batch");
-  const long workers = args.get_long_or("workers", 0);
-  CDSFLOW_EXPECT(workers >= 0, "--workers must be >= 0 (0 = all cores)");
-  cfg.lanes = static_cast<unsigned>(workers);
+  cfg.lanes = args.get_lanes_or("workers", 0);
   const long queue_capacity = args.get_long_or("queue-capacity", 8192);
   CDSFLOW_EXPECT(queue_capacity > 0, "--queue-capacity must be > 0");
   cfg.queue_capacity = static_cast<std::size_t>(queue_capacity);
@@ -663,9 +674,7 @@ int cmd_sweep(const Args& args) {
   }
 
   runtime::SweepRuntimeConfig cfg;
-  const long workers = args.get_long_or("workers", 1);
-  CDSFLOW_EXPECT(workers >= 0, "--workers must be >= 0 (0 = all cores)");
-  cfg.workers = static_cast<unsigned>(workers);
+  cfg.workers = args.get_lanes_or("workers", 1);
   const long shard_size = args.get_long_or("shard-size", 0);
   CDSFLOW_EXPECT(shard_size >= 0, "--shard-size must be >= 0 (0 = auto)");
   cfg.shard_size = static_cast<std::size_t>(shard_size);
@@ -748,8 +757,8 @@ int cmd_engines() {
     std::cout << "  " << pad_right(name, 22) << engine->description()
               << '\n';
   }
-  std::cout << "parameterised forms: cpu[-batch|-vec|-sweep][-risk]-mt<N>, "
-               "multi-<N>\n";
+  std::cout << "parameterised forms: cpu[-batch|-vec|-sweep][-risk], "
+               "multi-<N>, cluster-<M>x<N> (lanes: --workers / --lanes)\n";
   return 0;
 }
 
@@ -829,8 +838,7 @@ int cmd_serve(const Args& args) {
 
   runtime::StreamConfig stream;
   stream.engine = engine;
-  stream.lanes =
-      static_cast<unsigned>(args.get_long_or("lanes", stream.lanes));
+  stream.lanes = args.get_lanes_or("lanes", stream.lanes);
   stream.max_batch = static_cast<std::size_t>(
       args.get_long_or("max-batch", static_cast<long>(stream.max_batch)));
   stream.max_wait_us = static_cast<std::uint64_t>(
@@ -1014,8 +1022,7 @@ int cmd_cluster_worker(const Args& args) {
 
   cluster::WorkerConfig config;
   config.runtime.engine = args.get_or("engine", "cpu-batch");
-  config.runtime.workers =
-      static_cast<unsigned>(args.get_long_or("workers", 1));
+  config.runtime.workers = args.get_lanes_or("workers", 1);
   config.runtime.shard_size =
       static_cast<std::size_t>(args.get_long_or("shard-size", 0));
   if (args.get("ops-per-second")) {

@@ -212,16 +212,15 @@ MUTEX_INCLUDE = re.compile(r"#\s*include\s*<(?:mutex|shared_mutex)>")
 
 # The annotated vocabulary itself wraps the std types.
 LOCK_ALLOWLIST = {"src/common/thread_annotations.hpp"}
-# Documented thread owners: the pool's workers, the stream dispatcher, the
-# cluster drive threads, and the CPU engine's OpenMP-fallback workers (all
-# mapped in docs/CONCURRENCY.md). Everything else must submit to ThreadPool.
+# Documented thread owners: the pool's workers and the stream dispatcher
+# (both mapped in docs/CONCURRENCY.md). Everything else -- the runtimes'
+# lanes, the cluster coordinator's drive tasks -- runs on a ThreadPool,
+# normally through runtime::ShardRunner.
 THREAD_ALLOWLIST = {
     "src/runtime/thread_pool.hpp",
     "src/runtime/thread_pool.cpp",
     "src/runtime/stream_runtime.hpp",
     "src/runtime/stream_runtime.cpp",
-    "src/engines/cpu_engine.cpp",
-    "src/cluster/coordinator.cpp",
 }
 
 
@@ -261,9 +260,9 @@ def rule_raw_primitives(root: Path):
                     violations.append(Violation(
                         "raw-primitives", path, lineno,
                         "raw std::thread outside the documented thread "
-                        "owners (ThreadPool, stream dispatcher, cluster "
-                        "drive threads, CPU engine fallback); submit work "
-                        "to a ThreadPool instead"))
+                        "owners (ThreadPool, stream dispatcher); run work "
+                        "on a ThreadPool, normally through "
+                        "runtime::ShardRunner, instead"))
     return violations
 
 
