@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "cds/batch_pricer.hpp"
@@ -130,6 +134,172 @@ TEST(BatchRisk, EdgeCaseMaturities) {
   BatchRiskConfig config;
   config.ladder_edges = {0.0, 2.0, 6.0};
   expect_risk_parity(interest, hazard, book, config);
+}
+
+// --- bit pin against the bumped batch loop ----------------------------------
+
+/// What the risk kernel must reproduce bit for bit: BatchPricer::price at
+/// the kernel's level on every parallel- or bucket-bumped curve and on the
+/// recovery-shifted books, combined with compute_sensitivities' /
+/// cs01_ladder's expressions.
+struct BumpedLoop {
+  std::vector<Sensitivities> sensitivities;
+  std::vector<double> ladder;  ///< row-major [option][bucket]
+};
+
+BumpedLoop bumped_batch_loop(const TermStructure& interest,
+                             const TermStructure& hazard,
+                             const std::vector<CdsOption>& book,
+                             const BatchRiskConfig& config,
+                             cds::simd::Level level) {
+  const double bump = config.bump;
+  const auto spreads = [&](const TermStructure& i, const TermStructure& h,
+                           const std::vector<CdsOption>& options) {
+    return BatchPricer(i, h, level).price(options);
+  };
+  const auto central = [&](const std::vector<cds::SpreadResult>& up,
+                           const std::vector<cds::SpreadResult>& dn,
+                           std::size_t k) {
+    return (up[k].spread_bps - dn[k].spread_bps) / (2.0 * bump) * 1e-4;
+  };
+  const auto base = spreads(interest, hazard, book);
+  const auto hazard_up = spreads(interest, cds::parallel_bump(hazard, bump),
+                                 book);
+  const auto hazard_dn = spreads(interest, cds::parallel_bump(hazard, -bump),
+                                 book);
+  const auto interest_up =
+      spreads(cds::parallel_bump(interest, bump), hazard, book);
+  const auto interest_dn =
+      spreads(cds::parallel_bump(interest, -bump), hazard, book);
+  std::vector<CdsOption> recovery_up = book;
+  std::vector<CdsOption> recovery_dn = book;
+  for (std::size_t k = 0; k < book.size(); ++k) {
+    const double r = book[k].recovery_rate;
+    const double rb = std::min(bump, 0.5 * (1.0 - r));
+    recovery_up[k].recovery_rate = r + rb;
+    recovery_dn[k].recovery_rate = std::max(0.0, r - rb);
+  }
+  const auto rec_up = spreads(interest, hazard, recovery_up);
+  const auto rec_dn = spreads(interest, hazard, recovery_dn);
+
+  BumpedLoop loop;
+  loop.sensitivities.resize(book.size());
+  for (std::size_t k = 0; k < book.size(); ++k) {
+    Sensitivities& s = loop.sensitivities[k];
+    s.spread_bps = base[k].spread_bps;
+    s.cs01 = central(hazard_up, hazard_dn, k);
+    s.ir01 = central(interest_up, interest_dn, k);
+    s.rec01 = (rec_up[k].spread_bps - rec_dn[k].spread_bps) /
+              (recovery_up[k].recovery_rate - recovery_dn[k].recovery_rate) *
+              0.01;
+    s.jtd = 1.0 - book[k].recovery_rate;
+  }
+  const auto& edges = config.ladder_edges;
+  const std::size_t buckets = edges.empty() ? 0 : edges.size() - 1;
+  loop.ladder.resize(book.size() * buckets);
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const auto up = spreads(
+        interest, cds::bucket_bump(hazard, edges[b], edges[b + 1], bump),
+        book);
+    const auto dn = spreads(
+        interest, cds::bucket_bump(hazard, edges[b], edges[b + 1], -bump),
+        book);
+    for (std::size_t k = 0; k < book.size(); ++k) {
+      loop.ladder[k * buckets + b] = central(up, dn, k);
+    }
+  }
+  return loop;
+}
+
+/// Tallies bit-pattern comparisons; reports the first few mismatches.
+struct BitTally {
+  std::size_t compared = 0;
+  std::size_t differ = 0;
+
+  void check(double got, double want, const char* what, std::size_t i) {
+    ++compared;
+    if (std::bit_cast<std::uint64_t>(got) ==
+        std::bit_cast<std::uint64_t>(want)) {
+      return;
+    }
+    if (++differ <= 10) {
+      ADD_FAILURE() << what << " of option " << i << ": got " << got
+                    << " want " << want;
+    }
+  }
+};
+
+TEST(BatchRisk, EveryLevelBitMatchesTheBumpedBatchLoop) {
+  // RiskParityWithinContract holds vector-level Greeks to greek_tolerance
+  // only; this pins every level bitwise to the loop of plain batch pricings
+  // the risk pass stands in for. The ladders give 2, 8 and 14 hazard
+  // scenarios, so 4- and 8-lane scenario groups run full and partial.
+  using Level = cds::simd::Level;
+  std::vector<Level> levels;
+  for (const Level requested : {Level::kScalar, Level::kAvx2, Level::kAvx512}) {
+    const Level level = cds::simd::resolve_level(requested);
+    if (std::find(levels.begin(), levels.end(), level) == levels.end()) {
+      levels.push_back(level);
+    }
+  }
+  BatchRiskConfig no_ladder;
+  BatchRiskConfig open_ended;
+  open_ended.bump = 5e-4;
+  open_ended.ladder_edges = {0.0, 2.0, 7.0,
+                             std::numeric_limits<double>::infinity()};
+  BatchRiskConfig eod_ladder;
+  eod_ladder.ladder_edges = {0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0};
+
+  workload::PortfolioSpec continuous;
+  continuous.count = 300;
+  continuous.frequencies = {1.0, 2.0, 4.0, 12.0};
+  continuous.frequency_weights = {1.0, 1.0, 4.0, 1.0};
+  continuous.seed = 1717;
+  workload::PortfolioSpec tenor;
+  tenor.count = 300;
+  tenor.maturity_tenor_grid = {1.0, 3.0, 5.0, 7.0, 10.0};
+  tenor.seed = 1718;
+  const std::vector<std::vector<CdsOption>> books = {
+      workload::make_portfolio(continuous), workload::make_portfolio(tenor)};
+
+  BitTally tally;
+  for (const Level level : levels) {
+    SCOPED_TRACE(cds::simd::to_string(level));
+    for (const std::size_t knots : {1u, 2u, 17u, 129u, 1024u}) {
+      SCOPED_TRACE("knots " + std::to_string(knots));
+      const auto interest = workload::paper_interest_curve(knots, 5);
+      const auto hazard = workload::paper_hazard_curve(knots, 6);
+      const BatchPricer batch(interest, hazard, level);
+      for (const auto& book : books) {
+        for (const BatchRiskConfig* config :
+             {&no_ladder, &open_ended, &eod_ladder}) {
+          SCOPED_TRACE("ladder edges " +
+                       std::to_string(config->ladder_edges.size()));
+          const auto run = batch.price_with_sensitivities(book, *config);
+          const auto want =
+              bumped_batch_loop(interest, hazard, book, *config, level);
+          ASSERT_EQ(run.sensitivities.size(), book.size());
+          ASSERT_EQ(run.cs01_ladder.size(), want.ladder.size());
+          for (std::size_t i = 0; i < book.size(); ++i) {
+            const Sensitivities& got = run.sensitivities[i];
+            const Sensitivities& loop = want.sensitivities[i];
+            tally.check(got.spread_bps, loop.spread_bps, "spread", i);
+            tally.check(got.cs01, loop.cs01, "cs01", i);
+            tally.check(got.ir01, loop.ir01, "ir01", i);
+            tally.check(got.rec01, loop.rec01, "rec01", i);
+            tally.check(got.jtd, loop.jtd, "jtd", i);
+          }
+          for (std::size_t k = 0; k < want.ladder.size(); ++k) {
+            tally.check(run.cs01_ladder[k], want.ladder[k],
+                             "ladder entry", k / run.ladder_buckets);
+          }
+        }
+      }
+    }
+  }
+  // 300 options x 2 books x 5 knot counts x (3 x 5 Greeks + 9 buckets).
+  EXPECT_EQ(tally.differ, 0u);
+  EXPECT_EQ(tally.compared, levels.size() * 300 * 2 * 5 * 24);
 }
 
 // --- accounting and validation ----------------------------------------------
