@@ -192,8 +192,9 @@ int main(int argc, char** argv) {
             << fixed(results.front().vector_seconds * 1e3, 3)
             << " ms whole (" << fixed(shard64_vs_whole, 2) << "x)\n";
 
-  // Batched Greeks: the risk pass re-tabulates a scenario column per bump,
-  // so the lanes pay off again. Smaller book keeps the bench quick.
+  // Batched Greeks: the risk pass tabulates every bumped curve (hazard
+  // bumps W abreast, interest bumps a column each), so the lanes pay off
+  // again. Smaller book keeps the bench quick.
   workload::PortfolioSpec risk_spec = continuous;
   risk_spec.count = std::min<std::size_t>(n_options, 4096);
   const auto risk_book = workload::make_portfolio(risk_spec);

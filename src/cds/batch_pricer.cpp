@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "cds/legs.hpp"
 #include "common/error.hpp"
@@ -57,7 +58,139 @@ GridSums finish_grid(std::span<const TimePoint> points,
   return checked_grid_sums(sums);
 }
 
+void build_scenario_block(std::span<const double> knot_times,
+                          const BatchPricer::Workspace& ws, std::size_t first,
+                          std::size_t last, ScenarioBlock& block) {
+  CDSFLOW_ASSERT(first < last && last <= ws.grid_offset.size(),
+                 "a scenario block needs a non-empty range of built grids");
+  const std::size_t n_knots = knot_times.size();
+  block.first_grid = first;
+  block.last_grid = last;
+  block.first_point = ws.grid_offset[first];
+  block.knot_dt.resize(n_knots);  // tau_0 - 0.0 is tau_0, bit for bit
+  std::adjacent_difference(knot_times.begin(), knot_times.end(),
+                           block.knot_dt.begin());
+  const std::size_t n_points = ws.grid_end(last - 1) - block.first_point;
+  block.point_dt.resize(n_points);
+  block.base_row.resize(n_points);
+  block.rate_row.resize(n_points);
+  block.accrual_dt.resize(n_points);
+  std::size_t max_row = 0;
+  for (std::size_t g = first; g < last; ++g) {
+    const std::size_t begin = ws.grid_offset[g];
+    std::size_t j = static_cast<std::size_t>(
+        std::lower_bound(knot_times.begin(), knot_times.end(),
+                         ws.points[begin].t) -
+        knot_times.begin());
+    for (std::size_t i = begin; i < ws.grid_end(g); ++i) {
+      const double t = ws.points[i].t;
+      while (j < n_knots && knot_times[j] < t) ++j;
+      const std::size_t k = i - block.first_point;
+      block.base_row[k] = static_cast<std::int64_t>(j);
+      block.rate_row[k] = static_cast<std::int64_t>(std::min(j, n_knots - 1));
+      block.point_dt[k] = t - (j == 0 ? 0.0 : knot_times[j - 1]);
+      block.accrual_dt[k] = ws.points[i].dt;
+    }
+    max_row = std::max(max_row, j);
+  }
+  block.active_knots = std::min(n_knots, max_row + 1);
+}
+
+void hazard_scenario_sums(std::span<const double> rows,
+                          const BatchPricer::Workspace& ws,
+                          ScenarioBlock& block, simd::Level level,
+                          const ScenarioSumsSink& sink) {
+  const std::size_t w = simd::lanes(simd::resolve_level(level));
+  const std::size_t n_knots = block.knot_dt.size();
+  const std::size_t nk = block.active_knots;
+  const std::size_t n_rows = rows.size() / n_knots;
+  const std::size_t n_points = block.point_dt.size();
+  const std::size_t n_grids = block.last_grid - block.first_grid;
+  block.rates_T.resize(nk * w);
+  block.lambda_T.resize((nk + 1) * w);
+  block.q_T.resize(n_points * w);
+  block.annuity_T.resize(n_grids * w);
+  block.payoff_T.resize(n_grids * w);
+  block.annuity.resize(n_grids);
+  block.payoff.resize(n_grids);
+  const auto discount =
+      std::span<const double>(ws.discount).subspan(block.first_point, n_points);
+  const auto q_T = std::span<const double>(block.q_T);
+  for (std::size_t s0 = 0; s0 < n_rows; s0 += w) {
+    const std::size_t in_group = std::min(w, n_rows - s0);
+    for (std::size_t j = 0; j < nk; ++j) {
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        const std::size_t s = s0 + (lane < in_group ? lane : in_group - 1);
+        block.rates_T[j * w + lane] = rows[s * n_knots + j];
+      }
+    }
+    simd::sweep_survival_group(
+        block.rates_T, std::span<const double>(block.knot_dt).first(nk),
+        block.lambda_T, block.point_dt, block.base_row, block.rate_row,
+        block.q_T, level);
+    // Leg sums grid by grid, scenarios abreast: the survival rows never
+    // leave their transposed layout.
+    for (std::size_t g = 0; g < n_grids; ++g) {
+      const std::size_t grid = block.first_grid + g;
+      const std::size_t begin = ws.grid_offset[grid] - block.first_point;
+      const std::size_t n = ws.grid_end(grid) - ws.grid_offset[grid];
+      simd::sweep_leg_sums_group(
+          std::span<const double>(block.accrual_dt).subspan(begin, n),
+          discount.subspan(begin, n),
+          q_T.subspan(begin * w, n * w),
+          std::span<double>(block.annuity_T).subspan(g * w, w),
+          std::span<double>(block.payoff_T).subspan(g * w, w), level);
+    }
+    for (std::size_t lane = 0; lane < in_group; ++lane) {
+      for (std::size_t g = 0; g < n_grids; ++g) {
+        // checked_grid_sums' positivity diagnostic per lane (its annuity
+        // add already ran lane-wise in the kernel; + 0.0 keeps the bits).
+        const GridSums sums = checked_grid_sums(
+            {block.annuity_T[g * w + lane], 0.0, block.payoff_T[g * w + lane]});
+        block.annuity[g] = sums.annuity;
+        block.payoff[g] = sums.payoff;
+      }
+      sink(s0 + lane, block.annuity, block.payoff);
+    }
+  }
+}
+
+void rate_scenario_sums(const TermStructure& interest,
+                        std::span<const double> survival,
+                        const BatchPricer::Workspace& ws, ScenarioBlock& block,
+                        simd::Level level) {
+  const std::size_t n_points = block.point_dt.size();
+  const std::size_t n_grids = block.last_grid - block.first_grid;
+  block.discount.resize(n_points);
+  block.annuity.resize(n_grids);
+  block.payoff.resize(n_grids);
+  const auto points =
+      std::span<const TimePoint>(ws.points).subspan(block.first_point, n_points);
+  simd::discount_column(interest, ws.search.interest, points, block.discount,
+                        level);
+  const auto discount = std::span<const double>(block.discount);
+  for (std::size_t g = 0; g < n_grids; ++g) {
+    const std::size_t grid = block.first_grid + g;
+    const std::size_t begin = ws.grid_offset[grid];
+    const std::size_t n = ws.grid_end(grid) - begin;
+    const std::size_t local = begin - block.first_point;
+    const GridSums sums = checked_grid_sums(reduce_leg_sums(
+        points.subspan(local, n), discount.subspan(local, n),
+        survival.subspan(begin, n)));
+    block.annuity[g] = sums.annuity;
+    block.payoff[g] = sums.payoff;
+  }
+}
+
 }  // namespace detail
+
+/// The risk pass runs its scenarios over blocks of whole grids of at most
+/// this many points (a longer grid is a block of its own). A block's
+/// scratch is ~104 B per point at AVX-512 -- 64 B of W-wide survival rows,
+/// 32 B of brackets, 8 B of discount column -- so it stays ~0.4 MB and in
+/// L2 whatever the book size. Over the whole arena it would grow with the
+/// book: ~9.6 MB for a 92k-point shard, in every risk workspace.
+constexpr std::size_t kRiskBlockPoints = 4096;
 
 void BatchPricer::Workspace::clear() {
   grid_of.clear();
@@ -81,23 +214,6 @@ BatchPricer::BatchPricer(TermStructure interest, TermStructure hazard,
       hazard_prefix_(make_hazard_prefix(hazard_)),
       kernel_level_(simd::resolve_level(kernel_level)) {
   interest_.validate();
-}
-
-void BatchPricer::RiskWorkspace::clear() {
-  base.clear();
-  annuity_hazard_up.clear();
-  payoff_hazard_up.clear();
-  annuity_hazard_dn.clear();
-  payoff_hazard_dn.clear();
-  annuity_interest_up.clear();
-  payoff_interest_up.clear();
-  annuity_interest_dn.clear();
-  payoff_interest_dn.clear();
-  ladder_annuity_up.clear();
-  ladder_payoff_up.clear();
-  ladder_annuity_dn.clear();
-  ladder_payoff_dn.clear();
-  scenario_col.clear();
 }
 
 BatchStats BatchPricer::build_grids(std::span<const CdsOption> options,
@@ -231,109 +347,53 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
   if (options.empty()) return stats;
 
   // The bumped curves are built once per *batch*; the scalar loop rebuilds
-  // them once per option. A hazard bump never moves the discount column and
-  // an interest bump never moves the survival column, so each scenario only
-  // re-tabulates the column its bump touches and borrows the other from the
-  // base grids.
-  const HazardPrefix hazard_up =
-      make_hazard_prefix(parallel_bump(hazard_, bump));
-  const HazardPrefix hazard_dn =
-      make_hazard_prefix(parallel_bump(hazard_, -bump));
-  const TermStructure interest_up = parallel_bump(interest_, bump);
-  const TermStructure interest_dn = parallel_bump(interest_, -bump);
-  std::vector<HazardPrefix> bucket_up, bucket_dn;
-  bucket_up.reserve(n_buckets);
-  bucket_dn.reserve(n_buckets);
+  // them once per option. They keep the base knot times, so the hazard
+  // bumps are one kHazard scenario set -- the rows of their values -- and
+  // the interest bumps two rate scenarios, each over the base grids.
+  const std::size_t n_knots = hazard_.size();
+  const std::size_t n_hazard = 2 + 2 * n_buckets;
+  ws.hazard_rows.resize(n_hazard * n_knots);
+  const auto put_row = [&](std::size_t row, const TermStructure& curve) {
+    std::ranges::copy(curve.values(), ws.hazard_rows.data() + row * n_knots);
+  };
+  put_row(0, parallel_bump(hazard_, bump));
+  put_row(1, parallel_bump(hazard_, -bump));
+  const TermStructure interest_bumps[] = {parallel_bump(interest_, bump),
+                                          parallel_bump(interest_, -bump)};
+  const auto& edges = config.ladder_edges;
   for (std::size_t b = 0; b < n_buckets; ++b) {
-    const double lo = config.ladder_edges[b];
-    const double hi = config.ladder_edges[b + 1];
-    bucket_up.push_back(
-        make_hazard_prefix(bucket_bump(hazard_, lo, hi, bump)));
-    bucket_dn.push_back(
-        make_hazard_prefix(bucket_bump(hazard_, lo, hi, -bump)));
+    put_row(2 + 2 * b, bucket_bump(hazard_, edges[b], edges[b + 1], bump));
+    put_row(3 + 2 * b, bucket_bump(hazard_, edges[b], edges[b + 1], -bump));
   }
 
-  // Pass 2b -- one arena-wide column per bumped scenario: the bumped
-  // survival for hazard/bucket bumps (base discount reused), the bumped
-  // discount for interest bumps (base survival reused), then a per-grid
-  // reduction in the reference order. Column-at-a-time keeps the extra
-  // scratch at a single arena column regardless of ladder size.
+  // Pass 2b -- every scenario's per-grid sums, block by block of whole
+  // grids so the scenario scratch stays one block whatever the book size.
   const std::size_t n_grids = stats.base.unique_schedules;
-  ws.annuity_hazard_up.reserve(n_grids);
-  ws.payoff_hazard_up.reserve(n_grids);
-  ws.annuity_hazard_dn.reserve(n_grids);
-  ws.payoff_hazard_dn.reserve(n_grids);
-  ws.annuity_interest_up.reserve(n_grids);
-  ws.payoff_interest_up.reserve(n_grids);
-  ws.annuity_interest_dn.reserve(n_grids);
-  ws.payoff_interest_dn.reserve(n_grids);
-  ws.scenario_col.resize(ws.base.points.size());
-  const auto points = std::span<const TimePoint>(ws.base.points);
-  const auto col = std::span<double>(ws.scenario_col);
-  // Bumps move knot values, never knot times: every scenario column
-  // searches through the tables build_grids prepared for the base curves.
-  const simd::SearchTables& search = ws.base.search;
-
-  // Hoisted per grid, exactly like the base pass: the annuity is
-  // recovery-free under every scenario (same diagnostic as
-  // combine_spread_bps, which the scalar bumped repricings hit).
-  const auto reduce_all = [&](std::span<const double> discount,
-                              std::span<const double> survival,
-                              auto&& store) {
-    for (std::size_t g = 0; g < n_grids; ++g) {
-      const std::size_t begin = ws.base.grid_offset[g];
-      const std::size_t n = ws.base.grid_end(g) - begin;
-      store(g, detail::checked_grid_sums(detail::reduce_leg_sums(
-                   points.subspan(begin, n), discount.subspan(begin, n),
-                   survival.subspan(begin, n))));
+  ws.scenario_annuity.resize((n_hazard + 2) * n_grids);
+  ws.scenario_payoff.resize((n_hazard + 2) * n_grids);
+  detail::ScenarioBlock& block = ws.block;
+  const auto store_row = [&](std::size_t row, std::span<const double> annuity,
+                             std::span<const double> payoff) {
+    const std::size_t at = row * n_grids + block.first_grid;
+    std::ranges::copy(annuity, ws.scenario_annuity.data() + at);
+    std::ranges::copy(payoff, ws.scenario_payoff.data() + at);
+  };
+  for (std::size_t first = 0; first < n_grids;) {
+    std::size_t last = first + 1;
+    while (last < n_grids &&
+           ws.base.grid_end(last) - ws.base.grid_offset[first] <=
+               kRiskBlockPoints) {
+      ++last;
     }
-  };
-  const auto push_into = [](std::vector<double>& annuities,
-                            std::vector<double>& payoffs) {
-    return [&annuities, &payoffs](std::size_t, const detail::GridSums& s) {
-      annuities.push_back(s.annuity);
-      payoffs.push_back(s.payoff);
-    };
-  };
-
-  // Hazard parallel bumps: base discount, bumped survival.
-  simd::survival_column(hazard_up, search.hazard, points, col, kernel_level_);
-  reduce_all(ws.base.discount, col,
-             push_into(ws.annuity_hazard_up, ws.payoff_hazard_up));
-  simd::survival_column(hazard_dn, search.hazard, points, col, kernel_level_);
-  reduce_all(ws.base.discount, col,
-             push_into(ws.annuity_hazard_dn, ws.payoff_hazard_dn));
-  // Interest parallel bumps: bumped discount, base survival.
-  simd::discount_column(interest_up, search.interest, points, col,
-                        kernel_level_);
-  reduce_all(col, ws.base.survival,
-             push_into(ws.annuity_interest_up, ws.payoff_interest_up));
-  simd::discount_column(interest_dn, search.interest, points, col,
-                        kernel_level_);
-  reduce_all(col, ws.base.survival,
-             push_into(ws.annuity_interest_dn, ws.payoff_interest_dn));
-  // Ladder bucket bumps: base discount, bucket-bumped survival. The
-  // per-(grid, bucket) vectors are row-major per grid, so the per-bucket
-  // column sweeps write by index instead of pushing.
-  ws.ladder_annuity_up.resize(n_grids * n_buckets);
-  ws.ladder_payoff_up.resize(n_grids * n_buckets);
-  ws.ladder_annuity_dn.resize(n_grids * n_buckets);
-  ws.ladder_payoff_dn.resize(n_grids * n_buckets);
-  for (std::size_t b = 0; b < n_buckets; ++b) {
-    simd::survival_column(bucket_up[b], search.hazard, points, col,
-                          kernel_level_);
-    reduce_all(ws.base.discount, col,
-               [&](std::size_t g, const detail::GridSums& s) {
-                 ws.ladder_annuity_up[g * n_buckets + b] = s.annuity;
-                 ws.ladder_payoff_up[g * n_buckets + b] = s.payoff;
-               });
-    simd::survival_column(bucket_dn[b], search.hazard, points, col,
-                          kernel_level_);
-    reduce_all(ws.base.discount, col,
-               [&](std::size_t g, const detail::GridSums& s) {
-                 ws.ladder_annuity_dn[g * n_buckets + b] = s.annuity;
-                 ws.ladder_payoff_dn[g * n_buckets + b] = s.payoff;
-               });
+    detail::build_scenario_block(hazard_.times(), ws.base, first, last, block);
+    detail::hazard_scenario_sums(ws.hazard_rows, ws.base, block, kernel_level_,
+                                 store_row);
+    for (std::size_t k = 0; k < 2; ++k) {
+      detail::rate_scenario_sums(interest_bumps[k], ws.base.survival, ws.base,
+                                 block, kernel_level_);
+      store_row(n_hazard + k, block.annuity, block.payoff);
+    }
+    first = last;
   }
   stats.bumped_grid_points = (4 + 2 * n_buckets) * stats.base.grid_points;
 
@@ -342,6 +402,18 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
   // the results are bit-consistent with the scalar reference.
   const double* annuity = ws.base.grid_annuity.data();
   const double* payoff = ws.base.grid_payoff.data();
+  const auto central = [&](std::size_t up_row, std::size_t g,
+                           double one_minus_r) {
+    const std::size_t up = up_row * n_grids + g;
+    const std::size_t dn = up + n_grids;
+    const double spread_up = kBasisPointsPerUnit *
+                             (one_minus_r * ws.scenario_payoff[up]) /
+                             ws.scenario_annuity[up];
+    const double spread_dn = kBasisPointsPerUnit *
+                             (one_minus_r * ws.scenario_payoff[dn]) /
+                             ws.scenario_annuity[dn];
+    return (spread_up - spread_dn) / (2.0 * bump) * 1e-4;
+  };
   std::size_t scalar_points = 0;
   for (std::size_t i = 0; i < options.size(); ++i) {
     const std::uint32_t g = ws.base.grid_of[i];
@@ -350,24 +422,8 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
     Sensitivities s;
     s.spread_bps =
         kBasisPointsPerUnit * (one_minus_r * payoff[g]) / annuity[g];
-    {
-      const double up = kBasisPointsPerUnit *
-                        (one_minus_r * ws.payoff_hazard_up[g]) /
-                        ws.annuity_hazard_up[g];
-      const double dn = kBasisPointsPerUnit *
-                        (one_minus_r * ws.payoff_hazard_dn[g]) /
-                        ws.annuity_hazard_dn[g];
-      s.cs01 = (up - dn) / (2.0 * bump) * 1e-4;
-    }
-    {
-      const double up = kBasisPointsPerUnit *
-                        (one_minus_r * ws.payoff_interest_up[g]) /
-                        ws.annuity_interest_up[g];
-      const double dn = kBasisPointsPerUnit *
-                        (one_minus_r * ws.payoff_interest_dn[g]) /
-                        ws.annuity_interest_dn[g];
-      s.ir01 = (up - dn) / (2.0 * bump) * 1e-4;
-    }
+    s.cs01 = central(0, g, one_minus_r);
+    s.ir01 = central(n_hazard, g, one_minus_r);
     {
       // The spread is linear in the recovery rate, so the scalar path's
       // central difference is an exact reweighting of the base sums.
@@ -383,14 +439,7 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
     s.jtd = one_minus_r;
     out[i] = s;
     for (std::size_t b = 0; b < n_buckets; ++b) {
-      const std::size_t gb = g * n_buckets + b;
-      const double up = kBasisPointsPerUnit *
-                        (one_minus_r * ws.ladder_payoff_up[gb]) /
-                        ws.ladder_annuity_up[gb];
-      const double dn = kBasisPointsPerUnit *
-                        (one_minus_r * ws.ladder_payoff_dn[gb]) /
-                        ws.ladder_annuity_dn[gb];
-      ladder_out[i * n_buckets + b] = (up - dn) / (2.0 * bump) * 1e-4;
+      ladder_out[i * n_buckets + b] = central(2 + 2 * b, g, one_minus_r);
     }
     scalar_points += ws.base.grid_end(g) - ws.base.grid_offset[g];
   }

@@ -35,43 +35,47 @@
 /// per ladder bucket -- per option. The streaming-Greeks observation
 /// (arXiv:2212.13977) is that all of those repricings differentiate the
 /// same tabulated discount/survival intermediates, so the bumps belong on
-/// the *grids*, not the options:
+/// the *grids*, not the options: they are a scenario sweep over the base
+/// grids, run by the sweep's own routines (detail:: below):
 ///
-///   - CS01 / IR01 / ladder: each parallel- or bucket-bumped curve is built
-///     once per batch, its D or Q column re-tabulated once per unique
-///     schedule grid, and the central difference collapses -- like the
-///     spread itself -- to an O(1) per-option combine. A hazard bump leaves
-///     the discount column untouched (and vice versa), so each scenario
-///     re-tabulates only the column its bump moves.
+///   - CS01 / ladder: the hazard bumps keep the knot times, so they are one
+///     kHazard scenario set (cds/sweep_pricer.hpp) -- `lanes(level)` bumps
+///     per register, leg sums against the base discount column.
+///   - IR01: each interest bump is one discount column, reduced against the
+///     base survival column.
 ///   - Rec01 / JTD: the spread is exactly linear in the recovery rate, so
 ///     no bumped grid is needed at all -- the same central-difference
 ///     expression the scalar reference evaluates reduces to a reweighting
 ///     of the base grid's payoff/annuity sums.
 ///
-/// Every scenario accumulates in the reference order over curve values that
-/// are themselves bit-identical to the scalar path's, so all sensitivities
-/// match compute_sensitivities / cs01_ladder bit-for-bit under default
-/// compilation; the tests and benches hold the documented tolerance of
-/// 1e-12 relative (the acceptance bound is 1e-9).
+/// Scenarios run over blocks of whole grids, so their scratch is one block
+/// at any book size, and every sensitivity is an O(1) per-option combine of
+/// (scenario, grid) sums. Each scenario's sums are bit-identical to a
+/// BatchPricer pass on its bumped curve at the same level, so at kScalar
+/// all sensitivities match compute_sensitivities / cs01_ladder bit-for-bit
+/// under default compilation; the tests and benches hold the documented
+/// tolerance of 1e-12 relative (the acceptance bound is 1e-9).
 ///
-/// *Lanes* (cds/vector_kernel.hpp): passes 2/2b tabulate the discount and
+/// *Lanes* (cds/vector_kernel.hpp): pass 2 tabulates the discount and
 /// survival columns with cds::simd -- arena-wide, one lane tail for the
-/// whole batch instead of one per grid -- and pass 3 combines spreads
-/// `lanes(level)` options at a time. This is the kernel's only path: the
-/// SIMD level is a parameter of the cds::simd calls, and nothing else here
-/// looks at it. At kScalar (one un-replicated lane, the default) cds::simd
-/// runs the scalar reference arithmetic, so spreads, Greeks and columns are
-/// bit-identical to ReferencePricer, compute_sensitivities / cs01_ladder and
-/// the reference curve math (tests/test_vector_kernel.cpp,
-/// ScalarLevelIsBitIdenticalToReference). The leg-sum *reductions* stay
-/// scalar in the reference association order at every level, so above
-/// kScalar the only divergence is the per-element column math, bounded by
-/// VectorKernelContract (cds/precision.hpp) and documented in
+/// whole batch instead of one per grid -- hazard bumps fill the lanes with
+/// scenarios, and pass 3 combines spreads `lanes(level)` options at a time.
+/// This is the kernel's only path: the SIMD level is a parameter of the
+/// cds::simd calls, and nothing else here looks at it. At kScalar (one
+/// un-replicated lane, the default) cds::simd runs the scalar reference
+/// arithmetic, so spreads, Greeks and columns are bit-identical to
+/// ReferencePricer, compute_sensitivities / cs01_ladder and the reference
+/// curve math (tests/test_vector_kernel.cpp,
+/// ScalarLevelIsBitIdenticalToReference). The leg-sum *reductions* keep the
+/// reference association order at every level (per grid, or per lane), so
+/// above kScalar the only divergence is the per-element column math,
+/// bounded by VectorKernelContract (cds/precision.hpp) and documented in
 /// docs/VECTOR_LANES.md.
 
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -148,6 +152,31 @@ GridSums finish_grid(std::span<const TimePoint> points,
                      std::span<const double> discount,
                      std::span<const double> survival,
                      std::span<double> default_mass);
+
+/// Grids [first_grid, last_grid) of one workspace and the scratch the
+/// scenario routines below use on them (the sweep keeps one block over its
+/// arena, the risk pass one per run of grids). Per-point arrays start at
+/// the block's first point. The brackets are scenario-invariant, since
+/// scenarios move knot values only; their subtractions are the reference
+/// expressions' own (tau_j - tau_{j-1}, t - seg_begin), done once.
+struct ScenarioBlock {
+  std::size_t first_grid = 0;
+  std::size_t last_grid = 0;
+  std::size_t first_point = 0;
+  // Hazard brackets (see simd::sweep_survival_group).
+  std::vector<double> knot_dt;
+  std::vector<double> point_dt;
+  std::vector<std::int64_t> base_row;
+  std::vector<std::int64_t> rate_row;
+  std::vector<double> accrual_dt;  ///< points[i].dt, contiguous
+  /// Knots at or before the last point: later ones feed no row the group
+  /// reads, so the transpose and lambda chain stop there, bits unchanged.
+  std::size_t active_knots = 0;
+  // One lane-transposed scenario group, W lanes per knot, point or grid.
+  std::vector<double> rates_T, lambda_T, q_T, annuity_T, payoff_T;
+  // One scenario's checked per-grid sums and discount column.
+  std::vector<double> annuity, payoff, discount;
+};
 
 }  // namespace detail
 
@@ -232,28 +261,28 @@ class BatchPricer {
     }
   };
 
-  /// Scratch for price_with_sensitivities(): the base pricing workspace
-  /// plus, per unique grid, the leg sums under every bumped scenario. Same
-  /// reuse contract as Workspace: one per concurrent caller, warmed across
-  /// calls. The bumped columns search through base.search: bumps move knot
-  /// values, never knot times.
+  /// Scratch for price_with_sensitivities(): the base pricing workspace,
+  /// the leg sums of every grid under every bumped scenario, and one block
+  /// of scenario scratch. Same reuse contract as Workspace: one per
+  /// concurrent caller, warmed across calls. Bumps move knot values, never
+  /// knot times, so the bumped interest columns search through base.search
+  /// and the hazard bumps share one set of brackets per block.
   struct RiskWorkspace {
     Workspace base;
-    // Per unique grid: annuity / unscaled-payoff sums under the four
-    // parallel-bumped curves (hazard +/- bump with the base discount
-    // column, interest +/- bump with the base survival column).
-    std::vector<double> annuity_hazard_up, payoff_hazard_up;
-    std::vector<double> annuity_hazard_dn, payoff_hazard_dn;
-    std::vector<double> annuity_interest_up, payoff_interest_up;
-    std::vector<double> annuity_interest_dn, payoff_interest_dn;
-    // Per (grid, bucket), row-major: sums under the bucket-bumped hazard.
-    std::vector<double> ladder_annuity_up, ladder_payoff_up;
-    std::vector<double> ladder_annuity_dn, ladder_payoff_dn;
-    // One arena-wide scenario column, reused across all bumped scenarios
-    // (column-at-a-time keeps risk scratch at one column).
-    std::vector<double> scenario_col;
+    /// Scenario-major, row k holding grid g at k * grids + g. Rows: the
+    /// parallel hazard bump up and down, each ladder bucket's up and down,
+    /// then the parallel interest bump up and down.
+    std::vector<double> scenario_annuity;
+    std::vector<double> scenario_payoff;
+    /// The bumped hazard values, one row of knots per hazard scenario.
+    std::vector<double> hazard_rows;
+    /// Rebuilt for every block of every call, so it never serves another
+    /// call's curves.
+    detail::ScenarioBlock block;
 
-    void clear();
+    /// Empties the base grids. The scenario sums and the block are fully
+    /// rewritten by every call, so they keep their contents and memory.
+    void clear() { base.clear(); }
   };
 
   /// Everything the convenience risk overload produces.
@@ -336,5 +365,42 @@ class BatchPricer {
   HazardPrefix hazard_prefix_;
   simd::Level kernel_level_ = simd::Level::kScalar;
 };
+
+namespace detail {
+
+/// Points `block` at grids [first, last) of `ws` and builds its hazard
+/// brackets against the scenarios' shared `knot_times`. Points ascend
+/// within a grid, so one forward walk from the first point's
+/// std::lower_bound gives every point's lower_bound index.
+void build_scenario_block(std::span<const double> knot_times,
+                          const BatchPricer::Workspace& ws, std::size_t first,
+                          std::size_t last, ScenarioBlock& block);
+
+/// Receives one hazard scenario's checked sums for the block's grids; the
+/// spans alias the block's scratch and are valid only during the call.
+using ScenarioSumsSink =
+    std::function<void(std::size_t row, std::span<const double> annuity,
+                       std::span<const double> payoff)>;
+
+/// The kHazard group loop over hazard scenarios given as rows of knot
+/// values, lanes(level) rows per group: transpose (a partial group pads
+/// with its last row; ops are lane-wise, so no real lane moves),
+/// simd::sweep_survival_group over the block, simd::sweep_leg_sums_group
+/// per grid against ws.discount, then each row's checked_grid_sums to
+/// `sink`. A row's bits equal a BatchPricer pass on its curve at `level`.
+void hazard_scenario_sums(std::span<const double> rows,
+                          const BatchPricer::Workspace& ws,
+                          ScenarioBlock& block, simd::Level level,
+                          const ScenarioSumsSink& sink);
+
+/// One interest scenario over the block: its discount column (searched via
+/// ws.search.interest), then per grid checked_grid_sums of reduce_leg_sums
+/// against the arena-indexed `survival`, left in block.annuity / payoff.
+void rate_scenario_sums(const TermStructure& interest,
+                        std::span<const double> survival,
+                        const BatchPricer::Workspace& ws, ScenarioBlock& block,
+                        simd::Level level);
+
+}  // namespace detail
 
 }  // namespace cdsflow::cds

@@ -20,7 +20,8 @@ TermStructure bucket_bump(const TermStructure& curve, double t_lo,
   curve.validate();
   CDSFLOW_EXPECT(std::isfinite(bump), "curve bump must be finite");
   CDSFLOW_EXPECT(std::isfinite(t_lo) && !std::isnan(t_hi),
-                 "bucket bump edges must not be NaN (t_hi may be +inf)");
+                 "bucket bump t_lo must be finite and t_hi not NaN (t_hi may "
+                 "be +inf)");
   CDSFLOW_EXPECT(t_lo < t_hi, "bucket bump range is inverted");
   std::vector<double> values = curve.values();
   for (std::size_t i = 0; i < curve.size(); ++i) {
@@ -82,6 +83,8 @@ Sensitivities compute_sensitivities(const TermStructure& interest,
 
 void validate_ladder_edges(const std::vector<double>& bucket_edges) {
   CDSFLOW_EXPECT(bucket_edges.size() >= 2, "ladder needs >= 2 bucket edges");
+  CDSFLOW_EXPECT(std::isfinite(bucket_edges.front()),
+                 "the first bucket edge must be finite");
   for (std::size_t i = 1; i < bucket_edges.size(); ++i) {
     CDSFLOW_EXPECT(bucket_edges[i] > bucket_edges[i - 1],
                    "bucket edges must be increasing");

@@ -66,9 +66,10 @@ Sensitivities compute_sensitivities(const TermStructure& interest,
                                     double bump = 1e-4);
 
 /// Throws unless `bucket_edges` is a valid ladder: at least two edges,
-/// strictly increasing (NaNs fail the comparison and are rejected; the last
-/// edge may be +inf). The one home of the edge contract, shared by
-/// cs01_ladder, the batched risk kernel and the risk-mode engine config.
+/// strictly increasing (NaNs fail the comparison and are rejected), the
+/// first finite (only the last may be +inf). The one home of the edge
+/// contract, shared by cs01_ladder, the batched risk kernel and the
+/// risk-mode engine and stream configs.
 void validate_ladder_edges(const std::vector<double>& bucket_edges);
 
 /// Bucketed CS01 ladder: spread change per +1 bp hazard bump in each

@@ -11,8 +11,10 @@
 ///     per scenario: curve ctor + prefix build + schedule dedup
 ///                   + D column + Q column + leg reduction + N_opt combines
 ///
-/// The sweep generalises the PR 3 risk trick to arbitrary scenario sets.
-/// Everything a scenario cannot move is hoisted out of the loop, per kind:
+/// Everything a scenario cannot move is hoisted out of the loop, per kind
+/// (the routines live in batch_pricer.hpp's detail::, since the batched
+/// Greeks are a client of this sweep: their hazard bumps run as one kHazard
+/// set, their interest bumps as two kRate-style scenarios):
 ///
 ///   kHazard  shared: schedules, dedup, D column, segment brackets
 ///            per scenario: Q column only -- and because every scenario
@@ -174,17 +176,16 @@ class SweepPricer {
   static ScenarioAggregate aggregate_spreads(std::span<const SpreadResult> rs);
 
  private:
-  void finish_scenario(std::size_t s, std::size_t base_index,
-                       std::span<const double> discount,
-                       std::span<const double> survival,
-                       std::span<ScenarioAggregate> aggregates,
-                       const ResultSink& sink);
-
-  /// Aggregate + optional sink emission for the scenario whose per-grid
-  /// sums are already in scen_annuity_/scen_payoff_.
+  /// Aggregate + optional sink emission for scenario `s`, whose per-grid
+  /// sums are `annuity` / `payoff`.
   void emit_scenario(std::size_t s, std::size_t base_index,
+                     std::span<const double> annuity,
+                     std::span<const double> payoff,
                      std::span<ScenarioAggregate> aggregates,
                      const ResultSink& sink);
+
+  /// Scenario `s`'s interest curve: the base knot times, its rate row.
+  TermStructure rate_curve(const ScenarioMatrix& m, std::size_t s) const;
 
   void sweep_hazard(const ScenarioMatrix& m, std::size_t begin,
                     std::size_t end, std::span<ScenarioAggregate> aggregates,
@@ -201,33 +202,17 @@ class SweepPricer {
   BatchPricer::Workspace ws_;  ///< base grids and search tables, built once
   BatchStats book_stats_;
   std::size_t n_grids_ = 0;
-  std::size_t n_knots_ = 0;       ///< hazard knots
-  std::size_t active_knots_ = 0;  ///< knots at or before the last schedule
-                                  ///< point -- the sweep reads no further
-
-  // Scenario-invariant hazard segment brackets (see sweep_survival_group).
-  std::vector<double> knot_dt_;
-  std::vector<double> point_dt_;
-  std::vector<std::int64_t> base_row_;
-  std::vector<std::int64_t> rate_row_;
-  std::vector<double> accrual_dt_;  ///< points[i].dt, contiguous for the
-                                    ///< leg-sum group kernel
+  std::size_t n_knots_ = 0;  ///< hazard knots
+  /// The whole arena as one scenario block: brackets built once with the
+  /// base grids, group and column scratch reused across sweeps.
+  detail::ScenarioBlock block_;
 
   // Per-grid extremal recovery rates (first pass over the book).
   std::vector<double> rec_min_;
   std::vector<double> rec_max_;
 
   // Reused per-sweep scratch.
-  std::vector<double> rates_T_;   ///< lane-transposed scenario rates
-  std::vector<double> lambda_T_;  ///< lane-transposed prefix lambdas
-  std::vector<double> q_T_;       ///< lane-transposed survival columns
-  std::vector<double> annuity_T_;  ///< lane-transposed per-grid annuities
-  std::vector<double> payoff_T_;   ///< lane-transposed per-grid payoffs
-  std::vector<double> q_col_;     ///< one scenario's survival column
-  std::vector<double> d_col_;     ///< one scenario's discount column
-  std::vector<double> scen_annuity_;
-  std::vector<double> scen_payoff_;
-  std::vector<double> rate_vals_;  ///< one scenario's interest values
+  std::vector<double> q_col_;      ///< one kJoint scenario's survival column
   std::vector<SpreadResult> results_;
   HazardPrefix scen_prefix_;  ///< kJoint per-scenario prefix (reused)
 };

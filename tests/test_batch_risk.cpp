@@ -15,6 +15,7 @@
 
 #include "cds/batch_pricer.hpp"
 #include "cds/risk.hpp"
+#include "cds/stream_pricer.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "engines/registry.hpp"
@@ -409,6 +410,25 @@ TEST(RiskEngines, RegistryParsesRiskNames) {
   EXPECT_THROW(engine::make_engine("cpu-batch-risk-mt2", scenario.interest,
                                    scenario.hazard),
                Error);
+}
+
+TEST(RiskEngines, NegativeInfiniteFirstEdgeFailsAtConstruction) {
+  // Only the last ladder edge may be infinite: a risk engine or a risk-mode
+  // stream pricer given a -inf first edge must refuse it when built, not
+  // on its first price() call.
+  const auto scenario = workload::smoke_scenario(8);
+  const double inf = std::numeric_limits<double>::infinity();
+  engine::CpuEngineConfig cfg;
+  cfg.ladder_edges = {-inf, 1.0, 2.0};
+  EXPECT_THROW(engine::make_engine("cpu-vec-risk", scenario.interest,
+                                   scenario.hazard, {}, cfg),
+               Error);
+  cds::StreamPricerConfig stream_cfg;
+  stream_cfg.risk_mode = true;
+  stream_cfg.ladder_edges = {-inf, 1.0, 2.0};
+  EXPECT_THROW(
+      cds::StreamPricer(scenario.interest, scenario.hazard, stream_cfg),
+      Error);
 }
 
 TEST(RiskEngines, RiskModeFillsSensitivitiesAndSpreads) {

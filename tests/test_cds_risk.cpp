@@ -121,6 +121,12 @@ TEST_F(RiskFixture, ValidationErrors) {
   EXPECT_THROW(compute_sensitivities(interest, hazard, option, 0.0), Error);
   EXPECT_THROW(cs01_ladder(interest, hazard, option, {1.0}), Error);
   EXPECT_THROW(cs01_ladder(interest, hazard, option, {2.0, 1.0}), Error);
+  // Only the last edge may be infinite: a -inf first edge is increasing, so
+  // the ordering check alone would pass it.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(validate_ladder_edges({-inf, 1.0, 2.0}), Error);
+  EXPECT_THROW(cs01_ladder(interest, hazard, option, {-inf, 1.0, 2.0}),
+               Error);
 }
 
 TEST_F(RiskFixture, BumpHelpersRejectNonFiniteInputs) {
