@@ -7,6 +7,7 @@
 ///
 /// Run:  ./portfolio_batch [n_options]
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <thread>
@@ -115,36 +116,36 @@ int main(int argc, char** argv) {
   planner_cfg.probe_sizes = {128, 512};
   const auto candidates = engine::enumerate_backends(
       scenario.interest, scenario.hazard, planner_cfg);
-  const auto plan = engine::plan_batch(candidates, requirements);
+  // Every engine x workers x shard_size plan, ranked; a one-lane, one-shard
+  // plan is the bare back-end pricing the whole batch.
+  const auto plans =
+      engine::plan_runtime(candidates, requirements, planner_cfg);
 
   report::Table plan_table(
-      "deadline plan: 10M options in <= 120 s (cheapest feasible first)");
-  plan_table.set_columns(
-      {"Back-end", "Projected time", "Projected energy", "Feasible"});
-  for (const auto& entry : plan) {
+      "deadline plan: 10M options in <= 120 s (cheapest feasible first; " +
+      std::to_string(std::min<std::size_t>(10, plans.size())) + " of " +
+      std::to_string(plans.size()) + " plans)");
+  plan_table.set_columns({"Back-end", "Workers", "Shard size",
+                          "Projected time", "Projected energy", "Feasible"});
+  for (std::size_t i = 0; i < std::min<std::size_t>(10, plans.size()); ++i) {
+    const auto& entry = plans[i];
     plan_table.add_row(
-        {entry.candidate.engine_name,
+        {entry.config.engine, std::to_string(entry.config.workers),
+         std::to_string(entry.config.shard_size),
          format_duration_ns(entry.projected_seconds * 1e9),
          fixed(entry.projected_joules / 1e3, 1) + " kJ",
          entry.meets_deadline ? "yes" : "NO"});
   }
   std::cout << plan_table.render_text();
-  if (const auto best = engine::best_plan(plan)) {
-    std::cout << "planner picks: " << best->candidate.engine_name << '\n';
-  } else {
-    std::cout << "no back-end meets the deadline -- scale out\n";
-  }
-
-  // --- full runtime plan: engine x workers x shard_size ------------------------
-  const auto runtime_plans =
-      engine::plan_runtime(candidates, requirements, planner_cfg);
-  if (const auto best = engine::best_runtime_plan(runtime_plans)) {
+  if (const auto best = engine::best_runtime_plan(plans)) {
     std::cout << "auto-planner picks: " << best->config.engine << " x "
               << best->config.workers << " worker(s), shard size "
               << best->config.shard_size << " ("
               << format_duration_ns(best->projected_seconds * 1e9)
               << " projected; the config plugs straight into "
                  "PortfolioRuntime)\n";
+  } else {
+    std::cout << "no plan meets the deadline -- scale out\n";
   }
   return 0;
 }

@@ -341,7 +341,9 @@ ClusterRun ClusterCoordinator::price(
   // single-process run of the same engine.
   out.run.results.reserve(options.size());
   out.shards.reserve(shards.size());
-  std::vector<double> node_busy(nodes_.size(), 0.0);
+  // Each shard booked on the node that priced it: the makespan is the
+  // busiest node's engine plus link time.
+  runtime::LaneSchedule node_busy(static_cast<unsigned>(nodes_.size()));
   for (const auto& shard : shards) {
     const auto& state = done[shard.index];
     runtime::append_shard_rows(shard, state.rows, out.run);
@@ -350,7 +352,8 @@ ClusterRun ClusterCoordinator::price(
         net::shard_result_frame_bytes(shard.size(), config_.risk);
     const double link_seconds =
         nodes_[state.node].link.seconds_for(bytes);
-    node_busy[state.node] += state.engine_seconds + link_seconds;
+    node_busy.book_on(static_cast<unsigned>(state.node), 0.0,
+                      state.engine_seconds + link_seconds);
     out.run.kernel_seconds += state.engine_seconds;
     out.run.transfer_seconds += link_seconds;
     out.run.invocations += 1;
@@ -361,8 +364,7 @@ ClusterRun ClusterCoordinator::price(
                           state.engine_seconds, link_seconds,
                           state.resubmitted});
   }
-  out.run.total_seconds =
-      *std::max_element(node_busy.begin(), node_busy.end());
+  out.run.total_seconds = node_busy.makespan();
   CDSFLOW_ASSERT(out.run.total_seconds > 0.0,
                  "merged cluster run must take non-zero time");
   out.run.options_per_second =

@@ -1,13 +1,11 @@
 #include "cluster/worker.hpp"
 
 #include <chrono>
-#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
 #include "engines/registry.hpp"
 #include "fpga/power.hpp"
-#include "workload/options.hpp"
 
 namespace cdsflow::cluster {
 namespace {
@@ -39,34 +37,22 @@ ClusterWorker::ClusterWorker(cds::TermStructure interest,
     }
     return;  // pinned fit: nothing to calibrate
   }
-  // Self-calibration: the planner's probe protocol (warmup + best-of-N per
-  // size) against the local runtime, so the reported fit prices the exact
-  // configuration shards will run on.
-  CDSFLOW_EXPECT(!config_.probe_sizes.empty(),
-                 "worker calibration needs at least one probe size");
-  std::vector<engine::ProbeMeasurement> probes;
-  probes.reserve(config_.probe_sizes.size());
-  for (const std::size_t size : config_.probe_sizes) {
-    workload::PortfolioSpec spec;
-    spec.count = size;
-    const auto book = workload::make_portfolio(spec);
-    for (unsigned i = 0; i < config_.probe_warmup_runs; ++i) {
-      (void)runtime_.price(book);  // discarded
-    }
-    double best = std::numeric_limits<double>::infinity();
-    for (unsigned i = 0; i < std::max(1u, config_.probe_repeats); ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      (void)runtime_.price(book);
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    probes.push_back({size, best});
-  }
+  // Self-calibration: the planner's probe protocol against the local
+  // runtime, so the reported fit prices the exact configuration shards will
+  // run on.
   const double watts = config_.fit.watts > 0.0
                            ? config_.fit.watts
                            : fpga::CpuPowerModel{}.watts(runtime_.lanes());
-  fit_ = engine::fit_backend_model(config_.runtime.engine, watts,
-                                   std::move(probes));
+  std::vector<cds::CdsOption> book;
+  fit_ = engine::probe_backend(
+      config_.runtime.engine, watts, config_.probe_sizes,
+      [&](std::size_t size) {
+        if (book.size() != size) book = engine::probe_book(size);
+        const auto t0 = std::chrono::steady_clock::now();
+        (void)runtime_.price(book);
+        const auto t1 = std::chrono::steady_clock::now();
+        return std::chrono::duration<double>(t1 - t0).count();
+      });
 }
 
 void ClusterWorker::on_frame(net::Server& server, int conn,

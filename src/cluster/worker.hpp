@@ -3,9 +3,10 @@
 ///
 /// A worker is a net::ServerHandler wrapping a local
 /// runtime::PortfolioRuntime. The coordinator (coordinator.hpp) probes it
-/// with NODE_PROBE -- the worker answers with its lane count and its
-/// probe-calibrated affine fit (setup + n / options_per_second, the same
-/// model the in-process planner fits) -- then streams SHARD_PRICE frames at
+/// with NODE_PROBE -- the worker answers with its lane count and its affine
+/// fit (setup + n / options_per_second: pinned, or calibrated at
+/// construction by engine::probe_backend, the in-process planner's one
+/// probe protocol) -- then streams SHARD_PRICE frames at
 /// it; each shard is priced whole by the local runtime and answered with a
 /// SHARD_RESULT carrying the rows plus the engine-reported time. Wire
 /// format: docs/PROTOCOL.md; topology and merge contract: docs/CLUSTER.md.
@@ -38,14 +39,13 @@ struct WorkerConfig {
   /// shard_size, any registry engine).
   runtime::RuntimeConfig runtime;
   /// Affine fit reported to NODE_PROBE. When options_per_second is 0 the
-  /// worker calibrates itself at construction: it times the local runtime
-  /// at `probe_sizes` (warmup + best-of-N, the planner's probe protocol)
-  /// and fits the affine model. Pin it (options_per_second > 0) for
-  /// deterministic tests and benches.
+  /// worker calibrates itself at construction: engine::probe_backend(), the
+  /// planner's one probe protocol, times the local runtime's price() of
+  /// engine::probe_book(size) at each of `probe_sizes` and fits the affine
+  /// model. Pin it (options_per_second > 0) for deterministic tests and
+  /// benches.
   engine::BackendCandidate fit;
   std::vector<std::size_t> probe_sizes = {256, 2048};
-  unsigned probe_warmup_runs = 1;
-  unsigned probe_repeats = 2;
   /// Stop the server once at least one connection was seen and all are
   /// gone (single-shot launcher scripts).
   bool stop_when_idle = false;

@@ -1,8 +1,8 @@
 #include "engines/planner.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <map>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -18,22 +18,6 @@
 namespace cdsflow::engine {
 
 namespace {
-
-/// Warmup + best-of-N probe timing for natively executed engines. A single
-/// cold run folds first-touch allocation noise into the measurement, which
-/// can invert the cpu vs cpu-batch ranking at probe size.
-double measure_probe_seconds(Engine& engine,
-                             const std::vector<cds::CdsOption>& probe,
-                             unsigned warmup_runs, unsigned timed_runs) {
-  for (unsigned i = 0; i < warmup_runs; ++i) {
-    (void)engine.price(probe);  // discarded
-  }
-  double best = std::numeric_limits<double>::infinity();
-  for (unsigned i = 0; i < std::max(1u, timed_runs); ++i) {
-    best = std::min(best, engine.price(probe).total_seconds);
-  }
-  return best;
-}
 
 /// Through-origin least squares: the pure linear model seconds = n * slope.
 double origin_slope(const std::vector<ProbeMeasurement>& probes) {
@@ -54,6 +38,54 @@ std::vector<unsigned> default_worker_counts() {
   for (unsigned w = 1; w < hw; w *= 2) counts.push_back(w);
   counts.push_back(hw);
   return counts;
+}
+
+void sort_unique(std::vector<std::size_t>& sizes) {
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+}
+
+/// The shard sizes a plan over `lanes` lanes considers, sorted and unique:
+/// load-balanced (auto), setup-aware for each fit (amortise that fit's
+/// per-shard setup), and one shard per lane (the fewest setup payments that
+/// still use every lane).
+std::vector<std::size_t> shard_size_candidates(
+    std::size_t n, unsigned lanes,
+    std::span<const BackendCandidate* const> fits) {
+  std::vector<std::size_t> sizes;
+  sizes.push_back(runtime::auto_shard_size(n, lanes));
+  for (const BackendCandidate* fit : fits) {
+    sizes.push_back(runtime::setup_aware_shard_size(
+        n, lanes, fit->setup_seconds, fit->per_option_seconds()));
+  }
+  sizes.push_back(std::max<std::size_t>(1, (n + lanes - 1) / lanes));
+  sort_unique(sizes);
+  return sizes;
+}
+
+/// The one plan ranking: deadline-meeting plans first by projected energy,
+/// then the rest by projected time, ties in input order.
+template <class Plan>
+void rank_plans(std::vector<Plan>& plans) {
+  std::stable_sort(plans.begin(), plans.end(),
+                   [](const Plan& a, const Plan& b) {
+                     if (a.meets_deadline != b.meets_deadline) {
+                       return a.meets_deadline;
+                     }
+                     if (a.meets_deadline) {
+                       return a.projected_joules < b.projected_joules;
+                     }
+                     return a.projected_seconds < b.projected_seconds;
+                   });
+}
+
+/// The front of a ranked plan list, if it meets the deadline.
+template <class Plan>
+std::optional<Plan> best_of(const std::vector<Plan>& ranked) {
+  if (ranked.empty() || !ranked.front().meets_deadline) {
+    return std::nullopt;
+  }
+  return ranked.front();
 }
 
 }  // namespace
@@ -113,49 +145,46 @@ BackendCandidate fit_backend_model(std::string engine_name, double watts,
   return candidate;
 }
 
+std::vector<std::size_t> checked_probe_sizes(std::vector<std::size_t> sizes) {
+  CDSFLOW_EXPECT(!sizes.empty(), "need at least one probe size");
+  for (const std::size_t size : sizes) {
+    CDSFLOW_EXPECT(size >= 8, "probe workload too small to be representative");
+  }
+  sort_unique(sizes);
+  return sizes;
+}
+
+std::vector<cds::CdsOption> probe_book(std::size_t n_options) {
+  workload::PortfolioSpec spec;
+  spec.count = n_options;
+  spec.seed = 20211109;  // fixed: every probe must see identical work
+  return workload::make_portfolio(spec);
+}
+
+BackendCandidate probe_backend(std::string engine_name, double watts,
+                               std::vector<std::size_t> sizes,
+                               const std::function<double(std::size_t)>& run,
+                               bool deterministic) {
+  sizes = checked_probe_sizes(std::move(sizes));
+  std::vector<ProbeMeasurement> probes;
+  probes.reserve(sizes.size());
+  for (const std::size_t size : sizes) {
+    double seconds = run(size);  // the one deterministic run, or the warm-up
+    if (!deterministic) {
+      const double first = run(size);
+      seconds = std::min(first, run(size));
+    }
+    probes.push_back({size, seconds});
+  }
+  return fit_backend_model(std::move(engine_name), watts, std::move(probes));
+}
+
 std::vector<BackendCandidate> enumerate_backends(
     const cds::TermStructure& interest, const cds::TermStructure& hazard,
     const PlannerConfig& config) {
-  CDSFLOW_EXPECT(!config.probe_sizes.empty(),
-                 "need at least one probe size");
-  for (const std::size_t size : config.probe_sizes) {
-    CDSFLOW_EXPECT(size >= 8,
-                   "probe workload too small to be representative");
-  }
-
-  // Probe books drawn once per size, shared by every candidate.
-  std::vector<std::size_t> sizes = config.probe_sizes;
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-  std::vector<std::vector<cds::CdsOption>> probe_books;
-  probe_books.reserve(sizes.size());
-  for (const std::size_t size : sizes) {
-    workload::PortfolioSpec probe_spec;
-    probe_spec.count = size;
-    probe_spec.seed = 20211109;  // fixed: candidates must see identical work
-    probe_books.push_back(workload::make_portfolio(probe_spec));
-  }
-
+  const std::vector<std::size_t> sizes =
+      checked_probe_sizes(config.probe_sizes);
   std::vector<BackendCandidate> candidates;
-  const auto probe_candidate = [&](const std::string& name, double watts,
-                                   bool simulated) {
-    auto engine = make_engine(name, interest, hazard, {}, config.cpu);
-    std::vector<ProbeMeasurement> measurements;
-    measurements.reserve(sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      // Simulated engines report deterministic modelled device time, so one
-      // run per size suffices; native CPU engines are wall-clock timed and
-      // get the warmup + best-of-N protocol.
-      const double seconds =
-          simulated ? engine->price(probe_books[i]).total_seconds
-                    : measure_probe_seconds(*engine, probe_books[i],
-                                            config.probe_warmup_runs,
-                                            config.probe_repeats);
-      measurements.push_back({sizes[i], seconds});
-    }
-    candidates.push_back(
-        fit_backend_model(name, watts, std::move(measurements)));
-  };
 
   // --- CPU candidates -------------------------------------------------------
   // Every CPU candidate is probed on one lane: a CPU engine prices on the
@@ -173,37 +202,38 @@ std::vector<BackendCandidate> enumerate_backends(
   if (config.sweep_mode) {
     CDSFLOW_EXPECT(config.sweep_probe_options > 0,
                    "sweep probes need a non-empty book");
-    workload::PortfolioSpec book_spec;
-    book_spec.count = config.sweep_probe_options;
-    book_spec.seed = 20211109;  // fixed: candidates must see identical work
-    const auto book = workload::make_portfolio(book_spec);
-    std::vector<workload::ScenarioSet> probe_sets;
-    probe_sets.reserve(sizes.size());
-    for (const std::size_t size : sizes) {
-      probe_sets.push_back(workload::mc_hazard_scenarios(hazard, size));
-    }
     runtime::SweepRuntimeConfig rt_config;
     rt_config.workers = 1;
     rt_config.level = cds::simd::active_level();
-    runtime::SweepRuntime sweep_runtime(interest, hazard, book, rt_config);
-    std::vector<ProbeMeasurement> measurements;
-    measurements.reserve(sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      const cds::ScenarioMatrix matrix = probe_sets[i].matrix();
-      for (unsigned w = 0; w < config.probe_warmup_runs; ++w) {
-        (void)sweep_runtime.run(matrix);  // discarded
-      }
-      double best = std::numeric_limits<double>::infinity();
-      for (unsigned r = 0; r < std::max(1u, config.probe_repeats); ++r) {
-        best = std::min(best, sweep_runtime.run(matrix).wall_seconds);
-      }
-      measurements.push_back({sizes[i], best});
-    }
-    candidates.push_back(fit_backend_model(
+    runtime::SweepRuntime sweep_runtime(
+        interest, hazard, probe_book(config.sweep_probe_options), rt_config);
+    workload::ScenarioSet set;
+    candidates.push_back(probe_backend(
         cpu_engine_name(CpuKernel::kSweep, /*risk_mode=*/false), cpu_watts,
-        std::move(measurements)));
+        sizes, [&](std::size_t scenarios) {
+          if (set.count != scenarios) {
+            set = workload::mc_hazard_scenarios(hazard, scenarios);
+          }
+          return sweep_runtime.run(set.matrix()).wall_seconds;
+        }));
     return candidates;
   }
+
+  // Probe books drawn once per size, shared by every candidate.
+  std::map<std::size_t, std::vector<cds::CdsOption>> books;
+  for (const std::size_t size : sizes) books.emplace(size, probe_book(size));
+  const auto probe_candidate = [&](const std::string& name, double watts,
+                                   bool simulated) {
+    auto engine = make_engine(name, interest, hazard, {}, config.cpu);
+    // Simulated engines report deterministic modelled device time, native
+    // CPU engines the time they spent pricing.
+    candidates.push_back(probe_backend(
+        name, watts, sizes,
+        [&](std::size_t size) {
+          return engine->price(books.at(size)).total_seconds;
+        },
+        /*deterministic=*/simulated));
+  };
 
   probe_candidate(cpu_engine_name(CpuKernel::kReference, config.risk_mode),
                   cpu_watts, /*simulated=*/false);
@@ -235,48 +265,6 @@ std::vector<BackendCandidate> enumerate_backends(
   return candidates;
 }
 
-std::vector<PlanEntry> plan_batch(
-    const std::vector<BackendCandidate>& candidates,
-    const BatchRequirements& requirements) {
-  CDSFLOW_EXPECT(requirements.n_options > 0, "batch must contain options");
-  CDSFLOW_EXPECT(requirements.deadline_seconds > 0.0,
-                 "deadline must be positive");
-  CDSFLOW_EXPECT(!candidates.empty(), "no back-end candidates supplied");
-
-  std::vector<PlanEntry> entries;
-  entries.reserve(candidates.size());
-  for (const auto& candidate : candidates) {
-    CDSFLOW_EXPECT(candidate.options_per_second > 0.0,
-                   "candidate '" + candidate.engine_name +
-                       "' has no throughput measurement");
-    PlanEntry entry;
-    entry.candidate = candidate;
-    entry.projected_seconds = candidate.seconds_for(requirements.n_options);
-    entry.projected_joules = candidate.joules_for(requirements.n_options);
-    entry.meets_deadline =
-        entry.projected_seconds <= requirements.deadline_seconds;
-    entries.push_back(entry);
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const PlanEntry& a, const PlanEntry& b) {
-                     if (a.meets_deadline != b.meets_deadline) {
-                       return a.meets_deadline;
-                     }
-                     if (a.meets_deadline) {
-                       return a.projected_joules < b.projected_joules;
-                     }
-                     return a.projected_seconds < b.projected_seconds;
-                   });
-  return entries;
-}
-
-std::optional<PlanEntry> best_plan(const std::vector<PlanEntry>& entries) {
-  if (entries.empty() || !entries.front().meets_deadline) {
-    return std::nullopt;
-  }
-  return entries.front();
-}
-
 std::vector<RuntimePlanEntry> plan_runtime(
     const std::vector<BackendCandidate>& candidates,
     const BatchRequirements& requirements, const PlannerConfig& config) {
@@ -306,35 +294,19 @@ std::vector<RuntimePlanEntry> plan_runtime(
         parse_cpu_engine_name(candidate.engine_name, parsed);
     const std::vector<unsigned> workers =
         scales_with_workers ? worker_sweep : std::vector<unsigned>{1u};
+    const BackendCandidate* fit[] = {&candidate};
 
     for (const unsigned w : workers) {
       const double watts = (scales_with_workers && w > 1)
                                ? config.cpu_power.watts(w)
                                : candidate.watts;
-      // Shard-size candidates: load-balanced (auto), setup-aware (amortise
-      // the per-shard setup), and one-shard-per-lane (fewest setup
-      // payments that still uses every lane).
-      std::vector<std::size_t> shard_sizes;
-      shard_sizes.push_back(runtime::auto_shard_size(n, w));
-      shard_sizes.push_back(runtime::setup_aware_shard_size(
-          n, w, candidate.setup_seconds, candidate.per_option_seconds(),
-          config.max_setup_fraction));
-      shard_sizes.push_back(std::max<std::size_t>(1, (n + w - 1) / w));
-      std::sort(shard_sizes.begin(), shard_sizes.end());
-      shard_sizes.erase(std::unique(shard_sizes.begin(), shard_sizes.end()),
-                        shard_sizes.end());
-
-      for (const std::size_t shard_size : shard_sizes) {
+      for (const std::size_t shard_size : shard_size_candidates(n, w, fit)) {
         const auto shards = runtime::plan_shards(n, shard_size);
-        std::vector<double> shard_seconds;
-        shard_seconds.reserve(shards.size());
+        runtime::LaneSchedule lanes(w);
         for (const auto& shard : shards) {
-          shard_seconds.push_back(candidate.setup_seconds +
-                                  static_cast<double>(shard.size()) *
-                                      candidate.per_option_seconds());
+          lanes.book(0.0, candidate.seconds_for(shard.size()));
         }
-        const double makespan =
-            runtime::list_schedule_makespan(shard_seconds, w);
+        const double makespan = lanes.makespan();
 
         RuntimePlanEntry entry;
         entry.config.engine = candidate.engine_name;
@@ -351,17 +323,7 @@ std::vector<RuntimePlanEntry> plan_runtime(
       }
     }
   }
-
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const RuntimePlanEntry& a, const RuntimePlanEntry& b) {
-                     if (a.meets_deadline != b.meets_deadline) {
-                       return a.meets_deadline;
-                     }
-                     if (a.meets_deadline) {
-                       return a.projected_joules < b.projected_joules;
-                     }
-                     return a.projected_seconds < b.projected_seconds;
-                   });
+  rank_plans(entries);
   return entries;
 }
 
@@ -374,10 +336,7 @@ std::vector<RuntimePlanEntry> plan_runtime(
 
 std::optional<RuntimePlanEntry> best_runtime_plan(
     const std::vector<RuntimePlanEntry>& entries) {
-  if (entries.empty() || !entries.front().meets_deadline) {
-    return std::nullopt;
-  }
-  return entries.front();
+  return best_of(entries);
 }
 
 double cluster_shard_seconds(const ClusterNode& node, std::size_t n_options,
@@ -405,23 +364,16 @@ std::vector<ClusterPlanEntry> plan_cluster(
   const std::size_t n = requirements.n_options;
   const unsigned lanes = static_cast<unsigned>(nodes.size());
   if (shard_sizes.empty()) {
-    // Same shard-size candidates as plan_runtime(), but the setup-aware
-    // size is computed per node: each node amortises its *own* setup.
-    shard_sizes.push_back(runtime::auto_shard_size(n, lanes));
-    for (const auto& node : nodes) {
-      shard_sizes.push_back(runtime::setup_aware_shard_size(
-          n, lanes, node.fit.setup_seconds, node.fit.per_option_seconds()));
-    }
-    shard_sizes.push_back(
-        std::max<std::size_t>(1, (n + nodes.size() - 1) / nodes.size()));
+    // Each node amortises its *own* setup.
+    std::vector<const BackendCandidate*> fits;
+    for (const auto& node : nodes) fits.push_back(&node.fit);
+    shard_sizes = shard_size_candidates(n, lanes, fits);
   }
   // A shard must fit in one wire frame.
   for (std::size_t& size : shard_sizes) {
     size = std::clamp<std::size_t>(size, 1, net::kMaxOptionsPerRequest);
   }
-  std::sort(shard_sizes.begin(), shard_sizes.end());
-  shard_sizes.erase(std::unique(shard_sizes.begin(), shard_sizes.end()),
-                    shard_sizes.end());
+  sort_unique(shard_sizes);
 
   std::vector<ClusterPlanEntry> entries;
   for (const std::size_t shard_size : shard_sizes) {
@@ -431,54 +383,32 @@ std::vector<ClusterPlanEntry> plan_cluster(
     entry.n_shards = shards.size();
     entry.node_of_shard.reserve(shards.size());
     entry.shards_per_node.assign(nodes.size(), 0);
-    // Earliest projected finish, shards in submission order, lowest node
-    // index on ties -- list_schedule_makespan generalised to per-lane
-    // costs (identical nodes reproduce it exactly).
-    std::vector<double> free_at(nodes.size(), 0.0);
+    // Shards in submission order, each on the node where it would finish
+    // first.
+    runtime::LaneSchedule schedule(lanes);
     for (const auto& shard : shards) {
-      std::size_t best = 0;
-      double best_finish = std::numeric_limits<double>::infinity();
-      for (std::size_t k = 0; k < nodes.size(); ++k) {
-        const double finish =
-            free_at[k] + cluster_shard_seconds(nodes[k], shard.size(),
-                                               risk_mode);
-        if (finish < best_finish) {
-          best = k;
-          best_finish = finish;
-        }
-      }
-      entry.projected_joules +=
-          nodes[best].fit.watts * (best_finish - free_at[best]);
-      free_at[best] = best_finish;
-      entry.node_of_shard.push_back(best);
-      ++entry.shards_per_node[best];
+      const auto cost = [&](unsigned k) {
+        return cluster_shard_seconds(nodes[k], shard.size(), risk_mode);
+      };
+      const unsigned k = schedule.earliest_finish_lane(cost);
+      const double start = schedule.free_at(k);
+      const double finish = schedule.book_on(k, 0.0, cost(k));
+      entry.projected_joules += nodes[k].fit.watts * (finish - start);
+      entry.node_of_shard.push_back(k);
+      ++entry.shards_per_node[k];
     }
-    entry.projected_seconds =
-        *std::max_element(free_at.begin(), free_at.end());
+    entry.projected_seconds = schedule.makespan();
     entry.meets_deadline =
         entry.projected_seconds <= requirements.deadline_seconds;
     entries.push_back(std::move(entry));
   }
-
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const ClusterPlanEntry& a, const ClusterPlanEntry& b) {
-                     if (a.meets_deadline != b.meets_deadline) {
-                       return a.meets_deadline;
-                     }
-                     if (a.meets_deadline) {
-                       return a.projected_joules < b.projected_joules;
-                     }
-                     return a.projected_seconds < b.projected_seconds;
-                   });
+  rank_plans(entries);
   return entries;
 }
 
 std::optional<ClusterPlanEntry> best_cluster_plan(
     const std::vector<ClusterPlanEntry>& entries) {
-  if (entries.empty() || !entries.front().meets_deadline) {
-    return std::nullopt;
-  }
-  return entries.front();
+  return best_of(entries);
 }
 
 }  // namespace cdsflow::engine

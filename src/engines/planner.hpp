@@ -9,47 +9,54 @@
 /// (power model x runtime) -- the decision a capacity planner actually makes
 /// with Table II in hand.
 ///
-/// The planning dataflow is probe -> fit -> enumerate -> rank:
+/// The planning dataflow is probe -> fit -> project -> rank, and each step
+/// has one implementation that every client calls:
 ///
-///   1. *probe*  -- enumerate_backends() measures every candidate at two or
-///      more workload sizes. Natively executed CPU candidates run on one
-///      lane and get a discarded warmup run and the best of N timed repeats
-///      (first-touch allocation noise otherwise inverts rankings at probe
-///      size); simulated FPGA candidates report deterministic modelled time
-///      and are measured once per size.
+///   1. *probe*  -- probe_backend() is the one probe protocol: for each
+///      probe size (checked_probe_sizes(): non-empty, each >= 8, ascending,
+///      de-duplicated) one discarded warm-up run, then the best of two timed
+///      runs of the caller's run(size) (first-touch allocation noise
+///      otherwise inverts rankings at probe size). Simulated FPGA
+///      candidates report deterministic modelled time and run once per
+///      size. Every option-axis client prices probe_book(size), one
+///      fixed-seed book. Clients: enumerate_backends() (engine-reported
+///      time on a warm one-lane engine; in sweep mode SweepRuntime wall
+///      time over the scenario axis), service::calibrate_stream_fit() and
+///      cluster::ClusterWorker's self-calibration.
 ///   2. *fit*    -- fit_backend_model() fits an affine cost model
 ///      seconds(n) = setup_seconds + n / options_per_second per candidate.
 ///      A single-size linear extrapolation systematically misprojects
 ///      back-ends with a large fixed setup: the batch kernel's grid dedup +
 ///      tabulation dominates a 128-option probe yet amortises to nothing at
 ///      book size (the effect that makes streaming-Greeks engines fast at
-///      scale, arXiv:2212.13977).
-///   3. *enumerate* -- plan_runtime() expands candidates into full
+///      scale, arXiv:2212.13977). BackendCandidate::seconds_for() is the one
+///      per-shard cost formula: plan_runtime(), plan_cluster() and admission
+///      control all price a shard through it.
+///   3. *project* -- plan_runtime() expands candidates into full
 ///      runtime::RuntimeConfig plans (engine x workers x shard_size,
 ///      including auto_shard_size and a setup-aware shard size that avoids
 ///      paying the batch kernel's setup per tiny shard) and projects each
-///      with the runtime's own deterministic list schedule
-///      (runtime::list_schedule_makespan), so the projection prices exactly
-///      the schedule the runtime will execute.
+///      on the runtime's own lane schedule (runtime::LaneSchedule), so the
+///      projection prices exactly the schedule the runtime will execute.
+///      Its one-lane, one-shard entry is the bare back-end pricing the whole
+///      batch. plan_cluster() projects on the same schedule with per-node
+///      costs.
 ///   4. *rank*   -- deadline-meeting plans first (projected energy
-///      ascending), then the rest (projected time ascending).
+///      ascending), then the rest (projected time ascending), in a stable
+///      order; the same ranking for runtime and cluster plans.
 ///      best_runtime_plan() yields the RuntimeConfig to hand directly to
 ///      runtime::PortfolioRuntime.
-///
-/// plan_batch()/best_plan() survive as the bare-back-end projection (one
-/// back-end pricing the whole batch as a single shard), now on the fitted
-/// affine model.
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "cds/curve.hpp"
-#include "common/error.hpp"
+#include "cds/types.hpp"
 #include "engines/cpu_engine.hpp"
 #include "fpga/power.hpp"
 #include "fpga/resource.hpp"
@@ -57,9 +64,8 @@
 
 namespace cdsflow::engine {
 
-/// One timed probe run: `n_options` priced in `seconds` (best of the timed
-/// repeats for CPU candidates, deterministic modelled time for simulated
-/// ones).
+/// One probe measurement: `n_options` priced in `seconds` (best of the
+/// timed runs, or deterministic modelled time for simulated candidates).
 struct ProbeMeasurement {
   std::size_t n_options = 0;
   double seconds = 0.0;
@@ -84,9 +90,9 @@ struct BackendCandidate {
   std::vector<ProbeMeasurement> probes;
 
   double per_option_seconds() const { return 1.0 / options_per_second; }
-  /// Projected batch time under the fitted affine model. The pre-fit
-  /// planner computed n / probe_throughput here, which overcharges
-  /// setup-heavy back-ends by probe-to-batch extrapolation.
+  /// Projected time of one batch (one shard) of `n_options` under the
+  /// fitted affine model: the one per-shard cost formula of every
+  /// projection (plan_runtime, plan_cluster, admission control).
   double seconds_for(std::uint64_t n_options) const {
     return setup_seconds +
            static_cast<double>(n_options) / options_per_second;
@@ -105,31 +111,36 @@ struct BackendCandidate {
 BackendCandidate fit_backend_model(std::string engine_name, double watts,
                                    std::vector<ProbeMeasurement> probes);
 
-/// A bare candidate judged against the batch requirements (whole batch as
-/// one shard on one back-end).
-struct PlanEntry {
-  BackendCandidate candidate;
-  double projected_seconds = 0.0;
-  double projected_joules = 0.0;
-  bool meets_deadline = false;
-};
-
 struct BatchRequirements {
   std::uint64_t n_options = 0;
   double deadline_seconds = 0.0;
 };
 
+/// Probe sizes as every probe client records them: validated (non-empty,
+/// each >= 8 to be representative), sorted ascending and de-duplicated.
+/// Throws cdsflow::Error on an empty list or a size below 8.
+std::vector<std::size_t> checked_probe_sizes(std::vector<std::size_t> sizes);
+
+/// The one probe book: `n_options` options drawn from one fixed seed, so
+/// every candidate and every probe client times identical work.
+std::vector<cds::CdsOption> probe_book(std::size_t n_options);
+
+/// The one probe protocol. For each size of checked_probe_sizes(`sizes`),
+/// ascending: one discarded warm-up run(size), then the best (minimum) of
+/// two timed run(size) calls; or, when `deterministic` (simulated engines
+/// reporting modelled time), one run(size). `run` returns the seconds of
+/// one run. Then fit_backend_model() over the measurements, which are
+/// recorded in ascending size order.
+BackendCandidate probe_backend(std::string engine_name, double watts,
+                               std::vector<std::size_t> sizes,
+                               const std::function<double(std::size_t)>& run,
+                               bool deterministic = false);
+
 struct PlannerConfig {
-  /// Probe workload sizes. Two or more distinct sizes calibrate the affine
-  /// model's setup term; a single size degrades to the linear model. Every
-  /// size must be >= 8 to be representative.
+  /// Probe workload sizes (see checked_probe_sizes()). Two or more distinct
+  /// sizes calibrate the affine model's setup term; a single size degrades
+  /// to the linear model.
   std::vector<std::size_t> probe_sizes = {128, 2048};
-  /// Discarded warmup runs per CPU candidate before timing (first-touch
-  /// allocation).
-  unsigned probe_warmup_runs = 1;
-  /// Timed repeats per (CPU candidate, probe size); the best (minimum) time
-  /// is kept. Simulated engines are deterministic and measured once.
-  unsigned probe_repeats = 2;
   /// Also probe the batched SoA fast-path CPU kernel ("cpu-batch"). Same
   /// power model as the scalar kernel -- the fast path wins on energy purely
   /// by finishing sooner.
@@ -146,8 +157,8 @@ struct PlannerConfig {
   bool risk_mode = false;
   /// Plan the scenario-sweep workload instead of the batch-pricing one:
   /// enumerate_backends() probes the one "cpu-sweep" candidate only (a
-  /// one-lane runtime::SweepRuntime over a fixed `sweep_probe_options`
-  /// book, timed at each probe size with the warmup + best-of-N protocol),
+  /// one-lane runtime::SweepRuntime over probe_book(sweep_probe_options),
+  /// its wall time at each probe size run through probe_backend()),
   /// and the probe's n axis is the *scenario count* -- probe_sizes,
   /// n_options and every downstream projection then count scenarios, not
   /// options. The same affine fit and the unchanged plan_runtime()
@@ -171,9 +182,6 @@ struct PlannerConfig {
   /// cluster-MxN) always plan at one lane -- their parallelism lives inside
   /// the engine.
   std::vector<unsigned> worker_counts;
-  /// The setup-aware shard size grows shards until the per-shard setup cost
-  /// is at most this fraction of the shard's per-option compute.
-  double max_setup_fraction = 0.1;
   /// Device for the fit check and the FPGA count default.
   fpga::DeviceSpec device;
   fpga::FpgaPowerModel fpga_power;
@@ -188,20 +196,11 @@ std::vector<BackendCandidate> enumerate_backends(
     const cds::TermStructure& interest, const cds::TermStructure& hazard,
     const PlannerConfig& config = {});
 
-/// Projects each bare candidate against the requirements (whole batch, one
-/// shard) and returns the entries sorted: deadline-meeting entries first
-/// (by energy ascending), then the rest (by time ascending).
-std::vector<PlanEntry> plan_batch(const std::vector<BackendCandidate>& candidates,
-                                  const BatchRequirements& requirements);
-
-/// The cheapest candidate that meets the deadline, if any.
-std::optional<PlanEntry> best_plan(const std::vector<PlanEntry>& entries);
-
 /// One fully-specified runtime plan: a RuntimeConfig ready to hand to
 /// runtime::PortfolioRuntime, plus the projection it was ranked on.
 struct RuntimePlanEntry {
-  /// engine x workers x shard_size (engine_replicas 0 = one per worker);
-  /// `cpu` carries the PlannerConfig's risk details.
+  /// engine x workers x shard_size; `cpu` carries the PlannerConfig's risk
+  /// details.
   runtime::RuntimeConfig config;
   /// The per-lane cost model the projection used.
   BackendCandidate candidate;
@@ -209,18 +208,20 @@ struct RuntimePlanEntry {
   std::size_t n_shards = 0;
   /// Modelled power of the whole plan (all lanes).
   double watts = 0.0;
-  /// List-schedule makespan of the per-shard fitted costs (setup + size *
-  /// per-option) over config.workers lanes -- the same deterministic
-  /// schedule PortfolioRuntime reports as its modelled figure.
+  /// Makespan of the per-shard fitted costs (candidate.seconds_for(size))
+  /// on config.workers lanes of the runtime's lane schedule -- the same
+  /// deterministic schedule PortfolioRuntime reports as its modelled
+  /// figure. With one lane and one shard it is candidate.seconds_for(n).
   double projected_seconds = 0.0;
   double projected_joules = 0.0;
   bool meets_deadline = false;
 };
 
 /// Expands the candidates into engine x workers x shard_size plans,
-/// projects each with runtime::list_schedule_makespan over the fitted
-/// per-shard costs, and returns the plans sorted: deadline-meeting first
-/// (projected energy ascending), then the rest (projected time ascending).
+/// projects each on a runtime::LaneSchedule over the fitted per-shard costs
+/// (plan watts x makespan for energy), and returns the plans sorted:
+/// deadline-meeting first (projected energy ascending), then the rest
+/// (projected time ascending).
 /// Deterministic for fixed candidates and config. Throws cdsflow::Error on
 /// an empty candidate set, a zero-option batch, a non-positive deadline, or
 /// a candidate without a throughput measurement.
@@ -239,60 +240,6 @@ std::vector<RuntimePlanEntry> plan_runtime(
 std::optional<RuntimePlanEntry> best_runtime_plan(
     const std::vector<RuntimePlanEntry>& entries);
 
-/// Incremental completion-time projection over a fixed lane pool -- the
-/// planner's list schedule (runtime::list_schedule_makespan) exported as an
-/// online decision procedure for admission control.
-///
-/// book(arrival, task) assigns the task to the earliest-free lane (lowest
-/// index on ties, exactly the offline schedule's tie-break) and returns the
-/// projected completion time max(arrival, lane_free) + task_seconds. When
-/// every arrival is 0 the sequence of book() calls reproduces
-/// list_schedule_makespan over the same task list verbatim: makespan() ==
-/// the offline value, same lane assignments. project() answers "when would
-/// this finish?" without committing capacity, so admission can decide to
-/// shed *before* booking.
-///
-/// Times are seconds on an arbitrary caller-chosen epoch (the service uses
-/// seconds since server start). Purely arithmetic -- no clock, no threads --
-/// so admission transcripts replay deterministically in tests.
-class CompletionProjector {
- public:
-  explicit CompletionProjector(unsigned lanes) : lane_free_(lanes, 0.0) {
-    CDSFLOW_EXPECT(lanes > 0, "completion projector needs at least one lane");
-  }
-
-  /// Projected completion were the task booked now; commits nothing.
-  double project(double arrival_seconds, double task_seconds) const {
-    const std::size_t lane = earliest_lane();
-    return std::max(arrival_seconds, lane_free_[lane]) + task_seconds;
-  }
-
-  /// Books the task on the earliest-free lane; returns its completion time.
-  double book(double arrival_seconds, double task_seconds) {
-    const std::size_t lane = earliest_lane();
-    lane_free_[lane] =
-        std::max(arrival_seconds, lane_free_[lane]) + task_seconds;
-    return lane_free_[lane];
-  }
-
-  /// Latest lane-free time across the pool. With all arrivals at 0 this is
-  /// exactly runtime::list_schedule_makespan of the booked tasks.
-  double makespan() const {
-    return *std::max_element(lane_free_.begin(), lane_free_.end());
-  }
-
-  unsigned lanes() const { return static_cast<unsigned>(lane_free_.size()); }
-
- private:
-  std::size_t earliest_lane() const {
-    return static_cast<std::size_t>(
-        std::min_element(lane_free_.begin(), lane_free_.end()) -
-        lane_free_.begin());
-  }
-
-  std::vector<double> lane_free_;
-};
-
 // --- heterogeneous cluster planning -----------------------------------------
 //
 // The multi-process analogue of plan_runtime(): one lane per worker node,
@@ -300,10 +247,11 @@ class CompletionProjector {
 // wire via NODE_PROBE, see docs/PROTOCOL.md), and every shard charged its
 // serialized bytes through a link model -- exactly how the paper charges
 // PCIe transfer against on-device compute in its ablations. The schedule is
-// the same deterministic earliest-finish list schedule the in-process
-// runtime uses (runtime::list_schedule_makespan), generalised to per-lane
-// costs: with identical nodes it reduces to list_schedule_makespan verbatim
-// (same lowest-index tie-break). Full model derivation: docs/CLUSTER.md.
+// the in-process runtime's lane schedule (runtime::LaneSchedule) under its
+// earliest-finish rule with per-node costs: with identical nodes on a
+// zero-cost link it reproduces the runtime's list schedule and
+// plan_runtime()'s projection bit for bit (same lowest-index tie-break).
+// Full model derivation: docs/CLUSTER.md.
 
 /// Cost of moving one frame across a node's link:
 /// seconds(bytes) = latency + bytes / bandwidth.
@@ -327,8 +275,9 @@ struct ClusterNode {
 };
 
 /// Modelled cost of one shard of `n_options` on `node`: the node's affine
-/// fit plus the link charge for the serialized shard-price request and
-/// shard-result response (exact wire sizes from net/codec.hpp).
+/// fit (BackendCandidate::seconds_for) plus the link charge for the
+/// serialized shard-price request and shard-result response (exact wire
+/// sizes from net/codec.hpp).
 double cluster_shard_seconds(const ClusterNode& node, std::size_t n_options,
                              bool risk);
 
@@ -343,7 +292,9 @@ struct ClusterPlanEntry {
   std::vector<std::size_t> shards_per_node;
   /// Earliest-finish makespan over the per-node modelled shard costs.
   double projected_seconds = 0.0;
-  /// Sum over shards of the assigned node's watts x modelled shard cost.
+  /// Sum over shards of the assigned node's watts x modelled shard cost
+  /// (nodes differ in power, so energy is charged per shard, not as plan
+  /// watts x makespan).
   double projected_joules = 0.0;
   bool meets_deadline = false;
 };

@@ -12,7 +12,7 @@ PortfolioRuntime::PortfolioRuntime(cds::TermStructure interest,
                                    cds::TermStructure hazard,
                                    RuntimeConfig config)
     : config_(std::move(config)),
-      runner_(config_.workers, config_.engine_replicas) {
+      runner_(config_.workers) {
   engines_.reserve(runner_.lanes());
   for (unsigned i = 0; i < runner_.lanes(); ++i) {
     engines_.push_back(engine::make_engine(config_.engine, interest, hazard,

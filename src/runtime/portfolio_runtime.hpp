@@ -20,10 +20,10 @@
 /// given engine computes identical per-option values, the merged *values*
 /// -- spreads, and in risk mode the Sensitivities and CS01-ladder rows --
 /// are bit-identical to a single-engine run over the whole book, whatever
-/// the worker count, replica count or shard size. Only the *timing* fields
-/// vary between configurations. (Risk-mode shards carry their
-/// sensitivities/ladder next to the spreads; the merge concatenates all
-/// three in the same order, so the guarantee extends to the Greeks.)
+/// the lane count or shard size. Only the *timing* fields vary between
+/// configurations. (Risk-mode shards carry their sensitivities/ladder next
+/// to the spreads; the merge concatenates all three in the same order, so
+/// the guarantee extends to the Greeks.)
 ///
 /// Two throughput figures are reported -- modelled vs wall:
 ///   - modelled: options / makespan of a deterministic list schedule of the
@@ -60,12 +60,9 @@ namespace cdsflow::runtime {
 struct RuntimeConfig {
   /// Registry name of the shard worker engine (see engines/registry.hpp).
   std::string engine = "vectorised";
-  /// Worker threads driving shards. 0 selects hardware_concurrency().
+  /// Lanes driving shards, one engine replica and one thread each. 0 selects
+  /// hardware_concurrency().
   unsigned workers = 0;
-  /// Engine replicas backing the workers. 0 replicates one engine per
-  /// worker; a smaller value caps the concurrency at that many lanes (the
-  /// paper's engine-count ablation with the thread count held fixed).
-  unsigned engine_replicas = 0;
   /// Options per shard. 0 picks auto_shard_size() (about 4 shards/worker).
   std::size_t shard_size = 0;
   /// Forwarded to make_engine for simulated FPGA workers.
@@ -97,7 +94,7 @@ struct RuntimeRun {
   engine::PricingRun run;
   std::vector<ShardOutcome> shards;
 
-  /// Concurrency actually used (min of workers and engine replicas).
+  /// Concurrency actually used (the runtime's lane count).
   unsigned lanes = 1;
   std::size_t shard_size = 0;
 

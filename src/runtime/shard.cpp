@@ -48,24 +48,23 @@ std::size_t setup_aware_shard_size(std::size_t n_options, unsigned workers,
                                                 amortised))));
 }
 
+LaneSchedule::LaneSchedule(unsigned lanes) : free_at_(lanes, 0.0) {
+  CDSFLOW_EXPECT(lanes > 0, "lane schedule needs at least one lane");
+}
+
 double list_schedule_makespan(std::span<const double> task_seconds,
                               unsigned lanes,
                               std::vector<unsigned>* lane_of) {
-  CDSFLOW_EXPECT(lanes > 0, "list schedule needs at least one lane");
+  LaneSchedule schedule(lanes);
   if (lane_of != nullptr) {
     lane_of->assign(task_seconds.size(), 0);
   }
-  std::vector<double> lane_busy_until(lanes, 0.0);
-  double makespan = 0.0;
   for (std::size_t i = 0; i < task_seconds.size(); ++i) {
-    const auto lane = static_cast<unsigned>(
-        std::min_element(lane_busy_until.begin(), lane_busy_until.end()) -
-        lane_busy_until.begin());
+    const unsigned lane = schedule.earliest_free_lane();
     if (lane_of != nullptr) (*lane_of)[i] = lane;
-    lane_busy_until[lane] += task_seconds[i];
-    makespan = std::max(makespan, lane_busy_until[lane]);
+    schedule.book_on(lane, 0.0, task_seconds[i]);
   }
-  return makespan;
+  return schedule.makespan();
 }
 
 void append_shard_rows(const Shard& shard, const engine::PricingRun& part,

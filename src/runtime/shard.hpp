@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -49,9 +50,86 @@ std::size_t setup_aware_shard_size(std::size_t n_options, unsigned workers,
                                    double per_option_seconds,
                                    double max_setup_fraction = 0.1);
 
-/// Deterministic list schedule of `task_seconds` (tasks in submission order)
-/// onto `lanes` identical lanes: each task is placed on the earliest-free
-/// lane. Returns the makespan; when `lane_of` is non-null it is resized and
+/// The one lane schedule of the planning pipeline: tasks booked one at a time
+/// onto `lanes` lanes, each lane free again at the completion of the last
+/// task booked on it. Two booking rules share its one lane pick (lowest
+/// index on ties):
+///
+///   - earliest free lane, with arrival times: book() / project() start a
+///     task at max(arrival, lane free) on the lane that frees first. With
+///     every arrival at 0 this is the runtimes' list schedule
+///     (list_schedule_makespan below); with real arrivals it is the
+///     service's admission projection (service::AdmissionController).
+///   - earliest finish, with per-lane costs: earliest_finish_lane() picks
+///     the lane whose free time plus that lane's own cost of the task is
+///     least; book_on() then books it there. engine::plan_cluster() uses it
+///     for nodes with different fits.
+///
+/// Times are seconds on an epoch the caller chooses and must not be
+/// negative. Purely arithmetic, no clock and no threads; book(), project()
+/// and book_on() allocate nothing.
+class LaneSchedule {
+ public:
+  /// `lanes` must be > 0.
+  explicit LaneSchedule(unsigned lanes);
+
+  unsigned lanes() const { return static_cast<unsigned>(free_at_.size()); }
+  /// When `lane` is free again.
+  double free_at(unsigned lane) const { return free_at_[lane]; }
+
+  /// The lane that frees first.
+  unsigned earliest_free_lane() const {
+    return pick([this](unsigned k) { return free_at_[k]; });
+  }
+  /// The lane on which a task costing `cost_of(lane)` would finish first.
+  template <class CostOf>
+  unsigned earliest_finish_lane(CostOf&& cost_of) const {
+    return pick([&](unsigned k) { return free_at_[k] + cost_of(k); });
+  }
+
+  /// Completion of a task arriving at `arrival_seconds`, were it booked on
+  /// the earliest free lane now; commits nothing.
+  double project(double arrival_seconds, double task_seconds) const {
+    return std::max(arrival_seconds, free_at_[earliest_free_lane()]) +
+           task_seconds;
+  }
+  /// Books the task on the earliest free lane; returns its completion.
+  double book(double arrival_seconds, double task_seconds) {
+    return book_on(earliest_free_lane(), arrival_seconds, task_seconds);
+  }
+  /// Books the task on `lane`; returns its completion.
+  double book_on(unsigned lane, double arrival_seconds, double task_seconds) {
+    free_at_[lane] = std::max(arrival_seconds, free_at_[lane]) + task_seconds;
+    return free_at_[lane];
+  }
+
+  /// Latest completion booked so far (0 before the first booking).
+  double makespan() const {
+    return *std::max_element(free_at_.begin(), free_at_.end());
+  }
+
+ private:
+  /// The lane with the least `key`, lowest index on ties.
+  template <class Key>
+  unsigned pick(Key&& key) const {
+    unsigned best = 0;
+    double best_key = key(0u);
+    for (unsigned k = 1; k < lanes(); ++k) {
+      const double candidate = key(k);
+      if (candidate < best_key) {
+        best = k;
+        best_key = candidate;
+      }
+    }
+    return best;
+  }
+
+  std::vector<double> free_at_;
+};
+
+/// The runtimes' list schedule: `task_seconds` booked in submission order on
+/// the earliest free lane of a LaneSchedule, every task arriving at 0.
+/// Returns the makespan; when `lane_of` is non-null it is resized and
 /// receives the per-task lane assignment. The single home of the modelled
 /// concurrent-throughput figure both runtimes report (shards for the batch
 /// runtime, micro-batches for the streaming runtime). `lanes` must be > 0.

@@ -5,17 +5,11 @@
 #include <future>
 #include <thread>
 
-#include "common/error.hpp"
-
 namespace cdsflow::runtime {
 
-ShardRunner::ShardRunner(unsigned workers, unsigned max_lanes) {
-  if (workers == 0) {
-    workers = std::max(1u, std::thread::hardware_concurrency());
-  }
-  lanes_ = max_lanes == 0 ? workers : std::min(workers, max_lanes);
-  CDSFLOW_EXPECT(lanes_ > 0, "runtime needs at least one lane");
-}
+ShardRunner::ShardRunner(unsigned workers)
+    : lanes_(workers != 0 ? workers
+                          : std::max(1u, std::thread::hardware_concurrency())) {}
 
 ShardSchedule ShardRunner::run(
     std::span<const Shard> plan,

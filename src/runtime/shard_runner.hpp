@@ -48,9 +48,8 @@ struct ShardSchedule {
 
 class ShardRunner {
  public:
-  /// Takes `workers` lanes (0 selects hardware_concurrency()), capped at
-  /// `max_lanes` when that is non-zero.
-  explicit ShardRunner(unsigned workers, unsigned max_lanes = 0);
+  /// Takes `workers` lanes (0 selects hardware_concurrency()).
+  explicit ShardRunner(unsigned workers);
 
   unsigned lanes() const { return lanes_; }
 

@@ -34,7 +34,7 @@ const char* to_string(AdmissionDecision decision) {
 
 AdmissionController::AdmissionController(engine::BackendCandidate fit,
                                          unsigned lanes)
-    : fit_(std::move(fit)), projector_(lanes) {
+    : fit_(std::move(fit)), lanes_(lanes) {
   CDSFLOW_EXPECT(fit_.options_per_second > 0.0,
                  "admission fit needs a positive throughput");
   CDSFLOW_EXPECT(fit_.setup_seconds >= 0.0,
@@ -52,7 +52,7 @@ AdmissionDecision AdmissionController::decide(std::uint32_t tenant,
                  "deadline class must have 0 < deadline <= defer");
 
   const double task = fit_.seconds_for(n_options);
-  const double projected = projector_.project(arrival_seconds, task);
+  const double projected = lanes_.project(arrival_seconds, task);
 
   AdmissionRecord record;
   record.tenant = tenant;
@@ -72,7 +72,7 @@ AdmissionDecision AdmissionController::decide(std::uint32_t tenant,
     record.decision = AdmissionDecision::kShed;
   }
   if (record.decision != AdmissionDecision::kShed) {
-    projector_.book(arrival_seconds, task);  // shed work consumes no capacity
+    lanes_.book(arrival_seconds, task);  // shed work consumes no capacity
   }
   records_.push_back(record);
   return record.decision;

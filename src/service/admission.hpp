@@ -2,12 +2,15 @@
 /// Deadline-class admission control for the multi-tenant pricing service.
 ///
 /// The planner's probe->fit pipeline (engines/planner.hpp) prices a back-end
-/// as seconds(n) = setup + n / throughput; the runtime schedules work on the
-/// earliest-free lane (runtime::list_schedule_makespan). Admission control
-/// is those two models run *forward* at request time: given the calibrated
-/// affine fit of the engine actually serving the tenant pool and the lane
-/// pool's current projected occupancy (engine::CompletionProjector), a
-/// request's completion time is projected before it is enqueued, and
+/// as seconds(n) = setup + n / throughput (BackendCandidate::seconds_for);
+/// the runtime schedules work on the earliest-free lane of the one lane
+/// schedule (runtime::LaneSchedule, runtime/shard.hpp). Admission control is
+/// those two models run *forward* at request time: given the calibrated
+/// affine fit of the engine actually serving the tenant pool (from the
+/// planner's one probe protocol, via service::calibrate_stream_fit, unless
+/// pinned) and the lane pool's booked occupancy, a request's completion time
+/// is projected (LaneSchedule::project, with the request's arrival time)
+/// before it is enqueued, and
 ///
 ///   projected <= arrival + deadline   -> kAdmit  (booked; on-time result)
 ///   projected <= arrival + defer      -> kDefer  (booked; result flagged
@@ -36,6 +39,7 @@
 #include <vector>
 
 #include "engines/planner.hpp"
+#include "runtime/shard.hpp"
 
 namespace cdsflow::service {
 
@@ -71,8 +75,8 @@ struct AdmissionRecord {
   std::uint32_t request = 0;
   std::size_t n_options = 0;
   double arrival_seconds = 0.0;
-  /// Completion the projector quoted (for kShed: the completion that was
-  /// refused).
+  /// Completion the lane schedule projected (for kShed: the completion
+  /// that was refused).
   double projected_seconds = 0.0;
   /// Absolute deadline (arrival + class deadline) the projection was judged
   /// against.
@@ -102,11 +106,10 @@ class AdmissionController {
 
   const std::vector<AdmissionRecord>& transcript() const { return records_; }
   const engine::BackendCandidate& fit() const { return fit_; }
-  const engine::CompletionProjector& projector() const { return projector_; }
 
  private:
   engine::BackendCandidate fit_;
-  engine::CompletionProjector projector_;
+  runtime::LaneSchedule lanes_;
   std::vector<AdmissionRecord> records_;
 };
 

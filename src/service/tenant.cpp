@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "engines/planner.hpp"
 #include "net/codec.hpp"
-#include "workload/options.hpp"
 
 namespace cdsflow::service {
 
@@ -15,46 +14,36 @@ engine::BackendCandidate calibrate_stream_fit(
     const cds::TermStructure& interest, const cds::TermStructure& hazard,
     const runtime::StreamConfig& stream,
     const std::vector<std::size_t>& probe_sizes) {
-  CDSFLOW_EXPECT(!probe_sizes.empty(), "calibration needs probe sizes");
-
   const cds::StreamPricerConfig pricer_config =
       runtime::stream_pricer_config(stream);
 
-  // The planner's probe protocol (one warmup, best of two timed repeats)
-  // against the exact pricer a tenant lane will run. A fresh pricer per
-  // size keeps the grid-cache state comparable to a lane's cold start --
-  // the fit's setup term is precisely that cost.
-  std::vector<engine::ProbeMeasurement> probes;
-  for (const std::size_t size : probe_sizes) {
-    workload::PortfolioSpec book;
-    book.count = size;
-    book.seed = 7;
-    const auto options = workload::make_portfolio(book);
-    std::vector<cds::SpreadResult> out(options.size());
-    std::vector<cds::Sensitivities> greeks;
-    std::vector<double> ladder;
-
-    double best = 0.0;
-    for (unsigned repeat = 0; repeat < 3; ++repeat) {
-      cds::StreamPricer pricer(interest, hazard, pricer_config);
-      if (pricer_config.risk_mode) {
-        greeks.resize(options.size());
-        ladder.resize(options.size() * pricer.ladder_buckets());
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      if (pricer_config.risk_mode) {
-        pricer.price_with_sensitivities(options, out, greeks, ladder);
-      } else {
-        pricer.price(options, out);
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      const double seconds = std::chrono::duration<double>(t1 - t0).count();
-      if (repeat == 0) continue;  // discarded warmup
-      best = (best == 0.0) ? seconds : std::min(best, seconds);
-    }
-    probes.push_back({size, std::max(best, 1e-9)});
-  }
-  return engine::fit_backend_model(stream.engine, 1.0, std::move(probes));
+  // The planner's probe protocol against the exact pricer a tenant lane
+  // will run. A fresh pricer per run keeps the grid-cache state comparable
+  // to a lane's cold start -- the fit's setup term is precisely that cost.
+  std::vector<cds::CdsOption> book;
+  std::vector<cds::SpreadResult> out;
+  std::vector<cds::Sensitivities> greeks;
+  std::vector<double> ladder;
+  return engine::probe_backend(
+      stream.engine, 1.0, probe_sizes, [&](std::size_t size) {
+        if (book.size() != size) {
+          book = engine::probe_book(size);
+          out.resize(size);
+        }
+        cds::StreamPricer pricer(interest, hazard, pricer_config);
+        if (pricer_config.risk_mode) {
+          greeks.resize(size);
+          ladder.resize(size * pricer.ladder_buckets());
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        if (pricer_config.risk_mode) {
+          pricer.price_with_sensitivities(book, out, greeks, ladder);
+        } else {
+          pricer.price(book, out);
+        }
+        const auto t1 = std::chrono::steady_clock::now();
+        return std::chrono::duration<double>(t1 - t0).count();
+      });
 }
 
 TenantSession::TenantSession(TenantSpec spec,

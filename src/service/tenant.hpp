@@ -44,9 +44,12 @@ struct TenantSpec {
   engine::BackendCandidate fit;
 };
 
-/// Times a StreamPricer for the given stream config at two probe sizes and
-/// fits the affine admission model (the planner's probe->fit protocol
-/// applied to the engine that will actually serve the tenant).
+/// Fits the affine admission model of one tenant lane through
+/// engine::probe_backend(), the planner's one probe protocol: each run
+/// builds a fresh StreamPricer for the given stream config (a lane's cold
+/// start, so the setup term is that cost on purpose) and times only its
+/// price call over engine::probe_book(size). `probe_sizes` are validated
+/// like every client's (engine::checked_probe_sizes()).
 engine::BackendCandidate calibrate_stream_fit(
     const cds::TermStructure& interest, const cds::TermStructure& hazard,
     const runtime::StreamConfig& stream,

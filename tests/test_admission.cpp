@@ -1,10 +1,10 @@
 /// \file test_admission.cpp
-/// Golden tests for deadline-class admission control: the exported
-/// CompletionProjector must mirror runtime::list_schedule_makespan exactly,
-/// a fixed affine fit plus a scripted overload burst must reproduce a
-/// deterministic admit/defer/shed transcript, and the boundary case
-/// projected-completion == deadline is pinned admitted (with an exact-FP
-/// construction, not a tolerance).
+/// Golden tests for deadline-class admission control: a fixed affine fit
+/// plus a scripted overload burst must reproduce a deterministic
+/// admit/defer/shed transcript, and the boundary case projected-completion
+/// == deadline is pinned admitted (with an exact-FP construction, not a
+/// tolerance). The lane schedule the controller projects on is tested with
+/// its home, runtime::LaneSchedule, in tests/test_runtime.cpp.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +12,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "engines/planner.hpp"
-#include "runtime/shard.hpp"
 #include "service/admission.hpp"
 
 namespace cdsflow {
@@ -32,48 +30,6 @@ engine::BackendCandidate fit_of(double setup_seconds,
   fit.setup_seconds = setup_seconds;
   fit.options_per_second = options_per_second;
   return fit;
-}
-
-// --- projector == offline list schedule -------------------------------------
-
-TEST(CompletionProjector, ReproducesListScheduleMakespanBitForBit) {
-  Rng rng(9001);
-  for (const unsigned lanes : {1u, 2u, 3u, 7u}) {
-    for (int trial = 0; trial < 20; ++trial) {
-      std::vector<double> tasks(
-          static_cast<std::size_t>(rng.uniform_int(1, 40)));
-      for (auto& t : tasks) t = rng.uniform(0.001, 2.0);
-
-      engine::CompletionProjector projector(lanes);
-      for (const double t : tasks) projector.book(0.0, t);
-
-      const double offline = runtime::list_schedule_makespan(tasks, lanes);
-      // Same additions to the same lanes in the same order: bit equality,
-      // not approximate equality.
-      EXPECT_EQ(projector.makespan(), offline)
-          << lanes << " lanes, trial " << trial;
-    }
-  }
-}
-
-TEST(CompletionProjector, ProjectDoesNotCommitCapacity) {
-  engine::CompletionProjector projector(2);
-  const double first = projector.project(0.0, 1.0);
-  EXPECT_EQ(first, 1.0);
-  EXPECT_EQ(projector.project(0.0, 1.0), first)
-      << "project() must be side-effect free";
-  EXPECT_EQ(projector.makespan(), 0.0);
-  projector.book(0.0, 1.0);
-  EXPECT_EQ(projector.makespan(), 1.0);
-}
-
-TEST(CompletionProjector, LateArrivalStartsAtArrivalNotLaneFree) {
-  engine::CompletionProjector projector(1);
-  projector.book(0.0, 1.0);  // lane free at 1.0
-  // Arriving at t=5 on an idle lane starts at 5, not 1.
-  EXPECT_EQ(projector.project(5.0, 2.0), 7.0);
-  // Arriving at t=0.5 on the busy lane queues behind it.
-  EXPECT_EQ(projector.project(0.5, 2.0), 3.0);
 }
 
 // --- exact-FP boundary pin --------------------------------------------------
@@ -204,7 +160,6 @@ TEST(Admission, RejectsDegenerateInputs) {
   EXPECT_THROW(admission.decide(1, 1, 10, 0.0, {"bad", 0.0, 0.0}), Error);
   EXPECT_THROW(admission.decide(1, 1, 10, 0.0, {"bad", 0.2, 0.05}), Error);
   EXPECT_THROW(AdmissionController(fit_of(0.0, 0.0), 1), Error);
-  EXPECT_THROW(engine::CompletionProjector(0), Error);
 }
 
 }  // namespace

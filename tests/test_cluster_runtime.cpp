@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -30,6 +31,7 @@
 #include "net/codec.hpp"
 #include "net/server.hpp"
 #include "runtime/portfolio_runtime.hpp"
+#include "runtime/shard.hpp"
 #include "workload/curves.hpp"
 #include "workload/options.hpp"
 
@@ -218,6 +220,110 @@ TEST(ClusterPlanner, RejectsDegenerateInputs) {
   engine::BatchRequirements empty_batch;
   empty_batch.n_options = 0;
   EXPECT_THROW(engine::plan_cluster({make_node(1e6)}, empty_batch), Error);
+}
+
+TEST(ClusterPlanner, EarliestFinishMatchesAPlainReference) {
+  // The reference: each shard to the node with the least free time plus
+  // its own shard cost (lowest index on ties), energy the node's watts
+  // times that cost. plan_cluster() must give the same nodes and bits.
+  std::vector<engine::ClusterNode> nodes = {
+      make_node(4e6, "a"), make_node(1e6, "b"), make_node(2.5e6, "c")};
+  nodes[1].fit.watts = 35.0;
+  nodes[2].link.latency_seconds = 2e-4;
+  nodes[2].link.bytes_per_second = 2e8;
+  const engine::BatchRequirements req{10'000, 1e9};
+  for (const bool risk : {false, true}) {
+    for (const std::size_t shard_size : {97, 500, 1250, 4096}) {
+      SCOPED_TRACE(shard_size);
+      const auto plans = engine::plan_cluster(nodes, req, risk, {shard_size});
+      ASSERT_EQ(plans.size(), 1u);
+      std::vector<double> free_at(nodes.size(), 0.0);
+      std::vector<std::size_t> want_node;
+      double want_joules = 0.0;
+      for (const auto& shard : runtime::plan_shards(req.n_options,
+                                                    shard_size)) {
+        std::size_t best = 0;
+        double best_finish = std::numeric_limits<double>::infinity();
+        for (std::size_t k = 0; k < nodes.size(); ++k) {
+          const double finish =
+              free_at[k] +
+              engine::cluster_shard_seconds(nodes[k], shard.size(), risk);
+          if (finish < best_finish) {
+            best = k;
+            best_finish = finish;
+          }
+        }
+        want_joules += nodes[best].fit.watts * (best_finish - free_at[best]);
+        free_at[best] = best_finish;
+        want_node.push_back(best);
+      }
+      EXPECT_EQ(plans[0].node_of_shard, want_node);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(plans[0].projected_seconds),
+                std::bit_cast<std::uint64_t>(
+                    *std::max_element(free_at.begin(), free_at.end())));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(plans[0].projected_joules),
+                std::bit_cast<std::uint64_t>(want_joules));
+    }
+  }
+}
+
+TEST(ClusterPlanner, IdenticalNodesOnAFreeLinkPlanLikeTheRuntime) {
+  // docs/CLUSTER.md: with identical nodes the earliest-finish assignment
+  // reduces to the runtime's list schedule, so a homogeneous cluster on a
+  // zero-cost link plans exactly like the in-process runtime -- bit for bit.
+  const std::size_t n = 1000;
+  const engine::BatchRequirements req{n, 1e9};
+  for (unsigned lanes = 1; lanes <= 4; ++lanes) {
+    SCOPED_TRACE(lanes);
+    std::vector<engine::ClusterNode> nodes(lanes, make_node(1e6));
+    for (auto& node : nodes) {
+      node.link.latency_seconds = 0.0;
+      node.link.bytes_per_second = std::numeric_limits<double>::infinity();
+    }
+    const engine::BackendCandidate& fit = nodes.front().fit;
+
+    // Any shard size: the runtime's lane schedule over seconds_for.
+    for (const std::size_t shard_size : {1, 7, 64, 250, 1000}) {
+      SCOPED_TRACE(shard_size);
+      const auto plans = engine::plan_cluster(nodes, req, false, {shard_size});
+      ASSERT_EQ(plans.size(), 1u);
+      std::vector<double> costs;
+      for (const auto& shard : runtime::plan_shards(n, shard_size)) {
+        costs.push_back(fit.seconds_for(shard.size()));
+      }
+      std::vector<unsigned> lane_of;
+      const double makespan =
+          runtime::list_schedule_makespan(costs, lanes, &lane_of);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(plans[0].projected_seconds),
+                std::bit_cast<std::uint64_t>(makespan));
+      ASSERT_EQ(plans[0].node_of_shard.size(), lane_of.size());
+      for (std::size_t i = 0; i < lane_of.size(); ++i) {
+        EXPECT_EQ(plans[0].node_of_shard[i], lane_of[i]) << "shard " << i;
+      }
+    }
+
+    // The default shard sizes: plan_runtime()'s projection of the same
+    // candidate on as many lanes.
+    engine::PlannerConfig config;
+    config.worker_counts = {lanes};
+    const auto runtime_plans = engine::plan_runtime({fit}, req, config);
+    const auto cluster_plans = engine::plan_cluster(nodes, req);
+    ASSERT_FALSE(cluster_plans.empty());
+    for (const auto& plan : cluster_plans) {
+      SCOPED_TRACE(plan.shard_size);
+      bool found = false;
+      for (const auto& entry : runtime_plans) {
+        if (entry.config.shard_size != plan.shard_size) continue;
+        found = true;
+        EXPECT_EQ(entry.config.workers, lanes);
+        EXPECT_EQ(entry.n_shards, plan.n_shards);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(entry.projected_seconds),
+                  std::bit_cast<std::uint64_t>(plan.projected_seconds));
+      }
+      EXPECT_TRUE(found) << "plan_runtime has no shard size "
+                         << plan.shard_size;
+    }
+  }
 }
 
 // --- end-to-end bit-identity ------------------------------------------------
@@ -482,6 +588,35 @@ TEST(ClusterRuntime, VersionMismatchedPeerIsRejectedAndPoisoned) {
   EXPECT_EQ(info->type, net::FrameType::kNodeProbe);
   EXPECT_TRUE(info->probe_reply);
   EXPECT_EQ(info->engine, "cpu-batch");
+}
+
+TEST(ClusterRuntime, UnpinnedWorkerCalibratesAtConstructionAndReportsIt) {
+  // No pinned fit: the worker runs the planner's probe protocol on its own
+  // runtime when built, and NODE_PROBE answers with that fit.
+  cluster::WorkerConfig config;
+  config.runtime.engine = "cpu-batch";
+  config.runtime.workers = 1;
+  config.probe_sizes = {64, 16, 64};
+  InProcessWorker worker("cluster-calibrated", std::move(config));
+  const engine::BackendCandidate& fit = worker.worker->fit();
+  EXPECT_EQ(fit.engine_name, "cpu-batch");
+  EXPECT_GT(fit.options_per_second, 0.0);
+  EXPECT_GE(fit.setup_seconds, 0.0);
+  EXPECT_GT(fit.watts, 0.0);
+  ASSERT_EQ(fit.probes.size(), 2u);
+  EXPECT_EQ(fit.probes[0].n_options, 16u);
+  EXPECT_EQ(fit.probes[1].n_options, 64u);
+
+  cluster::CoordinatorConfig coordinator_config;
+  coordinator_config.nodes = {node_spec(worker.path)};
+  coordinator_config.probe_repeats = 1;
+  cluster::ClusterCoordinator coordinator(coordinator_config);
+  ASSERT_EQ(coordinator.nodes().size(), 1u);
+  const auto& reported = coordinator.nodes().front().fit;
+  EXPECT_EQ(reported.engine_name, fit.engine_name);
+  EXPECT_EQ(reported.options_per_second, fit.options_per_second);
+  EXPECT_EQ(reported.setup_seconds, fit.setup_seconds);
+  EXPECT_EQ(reported.watts, fit.watts);
 }
 
 TEST(ClusterRuntime, EmptyBookShortCircuitsWithoutTouchingTheWire) {

@@ -1,11 +1,13 @@
 /// \file test_planner.cpp
-/// Unit tests for the probe-calibrated deadline/energy planner: affine
-/// cost-model fitting, the setup-heavy misprojection fix, bare-candidate
-/// ranking, and the full engine x workers x shard_size runtime plans.
+/// Unit tests for the probe-calibrated deadline/energy planner: the one
+/// probe protocol, affine cost-model fitting, the setup-heavy misprojection
+/// fix, whole-batch ranking, and the full engine x workers x shard_size
+/// runtime plans.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "common/error.hpp"
 #include "engines/planner.hpp"
@@ -26,6 +28,27 @@ BackendCandidate make_candidate(std::string name, double watts,
   return c;
 }
 
+/// plan_runtime()'s whole-batch plans: every candidate on one lane pricing
+/// the batch as one shard -- the bare back-end projection, seconds_for(n)
+/// at the candidate's watts -- in plan_runtime()'s ranked order.
+std::vector<RuntimePlanEntry> whole_batch_plans(
+    const std::vector<BackendCandidate>& candidates,
+    const BatchRequirements& requirements) {
+  PlannerConfig config;
+  config.worker_counts = {1};
+  auto plans = plan_runtime(candidates, requirements, config);
+  std::erase_if(plans, [&](const RuntimePlanEntry& e) {
+    return e.config.shard_size != requirements.n_options;
+  });
+  for (const auto& e : plans) {
+    EXPECT_EQ(e.config.workers, 1u);
+    EXPECT_EQ(e.n_shards, 1u);
+    EXPECT_EQ(e.projected_seconds, e.candidate.seconds_for(requirements.n_options));
+    EXPECT_EQ(e.projected_joules, e.candidate.joules_for(requirements.n_options));
+  }
+  return plans;
+}
+
 std::vector<BackendCandidate> synthetic_candidates() {
   return {
       make_candidate("cpu", 60.0, 10'000.0),        // slow, mid power
@@ -44,6 +67,71 @@ TEST(Planner, ProjectionsAreArithmeticallyConsistent) {
   EXPECT_DOUBLE_EQ(s.seconds_for(5000), 7.0);
   EXPECT_DOUBLE_EQ(s.joules_for(5000), 350.0);
   EXPECT_DOUBLE_EQ(s.per_option_seconds(), 1e-3);
+}
+
+// --- the probe protocol -----------------------------------------------------
+
+TEST(Planner, ProbeProtocolDiscardsAWarmupAndKeepsTheBestOfTwo) {
+  // Per size: a 100 s warm-up (discarded), then two timed runs of the true
+  // cost 1 ms + 1 us/option, the slower one 10% over it. The faster run is
+  // the second at 128 options and the first at 2048, so only a minimum
+  // recovers the true cost at both.
+  std::map<std::size_t, int> calls;
+  std::vector<std::size_t> order;
+  const auto truth = [](std::size_t n) { return 1e-3 + n * 1e-6; };
+  const auto run = [&](std::size_t size) {
+    order.push_back(size);
+    const int call = calls[size]++;
+    if (call == 0) return 100.0;
+    const bool slow = (call == 1) == (size == 128);
+    return truth(size) * (slow ? 1.1 : 1.0);
+  };
+  const auto fit = probe_backend("fake", 1.0, {2048, 128, 2048}, run);
+  EXPECT_EQ(order, (std::vector<std::size_t>{128, 128, 128, 2048, 2048, 2048}));
+  ASSERT_EQ(fit.probes.size(), 2u);
+  EXPECT_EQ(fit.probes[0].n_options, 128u);
+  EXPECT_EQ(fit.probes[0].seconds, truth(128));
+  EXPECT_EQ(fit.probes[1].n_options, 2048u);
+  EXPECT_EQ(fit.probes[1].seconds, truth(2048));
+  EXPECT_NEAR(fit.setup_seconds, 1e-3, 1e-12);
+  EXPECT_NEAR(fit.per_option_seconds(), 1e-6, 1e-15);
+  EXPECT_EQ(fit.engine_name, "fake");
+
+  // Simulated candidates report modelled time: one run per size.
+  order.clear();
+  const auto once = probe_backend(
+      "sim", 1.0, {64, 16},
+      [&](std::size_t size) {
+        order.push_back(size);
+        return truth(size);
+      },
+      /*deterministic=*/true);
+  EXPECT_EQ(order, (std::vector<std::size_t>{16, 64}));
+  EXPECT_EQ(once.probes[0].seconds, truth(16));
+  EXPECT_EQ(once.probes[1].seconds, truth(64));
+
+  // Sizes are checked before anything runs.
+  order.clear();
+  const auto count = [&](std::size_t size) {
+    order.push_back(size);
+    return 1.0;
+  };
+  EXPECT_THROW(probe_backend("x", 1.0, {}, count), Error);
+  EXPECT_THROW(probe_backend("x", 1.0, {128, 7}, count), Error);
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(checked_probe_sizes({48, 8, 48, 16}),
+            (std::vector<std::size_t>{8, 16, 48}));
+}
+
+TEST(Planner, ProbeBookIsOneFixedSeedBook) {
+  const auto a = probe_book(64);
+  const auto b = probe_book(64);
+  ASSERT_EQ(a.size(), 64u);
+  ASSERT_EQ(b.size(), 64u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].maturity_years, b[i].maturity_years);
+    EXPECT_EQ(a[i].recovery_rate, b[i].recovery_rate);
+  }
 }
 
 // --- affine cost-model fit --------------------------------------------------
@@ -109,7 +197,7 @@ TEST(Planner, FittedModelFixesSetupHeavyMisprojection) {
       128.0 / probe_seconds(128, batch_setup, batch_per_option);
   const double scalar_probe_ops =
       128.0 / probe_seconds(128, 0.0, scalar_per_option);
-  const auto old_entries = plan_batch(
+  const auto old_entries = whole_batch_plans(
       {make_candidate("cpu-batch", 60.0, batch_probe_ops),
        make_candidate("cpu", 60.0, scalar_probe_ops)},
       {.n_options = batch_n, .deadline_seconds = 1e9});
@@ -118,7 +206,7 @@ TEST(Planner, FittedModelFixesSetupHeavyMisprojection) {
   // Fitted planner: the same two back-ends probed at 128 AND 2048 options;
   // the affine fit separates setup from per-option cost and picks the
   // back-end that actually finishes fastest.
-  const auto fitted_entries = plan_batch(
+  const auto fitted_entries = whole_batch_plans(
       {fit_backend_model(
            "cpu-batch", 60.0,
            {{128, probe_seconds(128, batch_setup, batch_per_option)},
@@ -136,13 +224,13 @@ TEST(Planner, FittedModelFixesSetupHeavyMisprojection) {
             fitted_entries.front().candidate.engine_name);
 }
 
-// --- bare-candidate ranking -------------------------------------------------
+// --- whole-batch ranking (one lane, one shard) ------------------------------
 
 TEST(Planner, DeadlineSplitsCandidates) {
   // 1M options in <= 15 s: only multi-5 (10 s) qualifies.
   const auto entries =
-      plan_batch(synthetic_candidates(), {.n_options = 1'000'000,
-                                          .deadline_seconds = 15.0});
+      whole_batch_plans(synthetic_candidates(), {.n_options = 1'000'000,
+                                                 .deadline_seconds = 15.0});
   ASSERT_EQ(entries.size(), 4u);
   EXPECT_TRUE(entries.front().meets_deadline);
   EXPECT_EQ(entries.front().candidate.engine_name, "multi-5");
@@ -153,13 +241,13 @@ TEST(Planner, ProjectionExactlyAtDeadlineMeetsIt) {
   // setup 1 s + 1000 options at 1 ms each = 2.0 s, deadline exactly 2.0 s.
   const auto c = make_candidate("cpu", 60.0, 1000.0, /*setup_seconds=*/1.0);
   const auto entries =
-      plan_batch({c}, {.n_options = 1000, .deadline_seconds = 2.0});
+      whole_batch_plans({c}, {.n_options = 1000, .deadline_seconds = 2.0});
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_DOUBLE_EQ(entries.front().projected_seconds, 2.0);
   EXPECT_TRUE(entries.front().meets_deadline);
-  ASSERT_TRUE(best_plan(entries).has_value());
+  ASSERT_TRUE(best_runtime_plan(entries).has_value());
   // A hair past the deadline misses it.
-  const auto late = plan_batch(
+  const auto late = whole_batch_plans(
       {c}, {.n_options = 1001, .deadline_seconds = 2.0});
   EXPECT_FALSE(late.front().meets_deadline);
 }
@@ -168,8 +256,8 @@ TEST(Planner, RanksFeasibleByEnergy) {
   // Generous deadline: everything qualifies; the FPGA back-ends win on
   // energy (the paper's Table II conclusion).
   const auto entries =
-      plan_batch(synthetic_candidates(), {.n_options = 1'000'000,
-                                          .deadline_seconds = 1e6});
+      whole_batch_plans(synthetic_candidates(), {.n_options = 1'000'000,
+                                                 .deadline_seconds = 1e6});
   ASSERT_TRUE(entries.front().meets_deadline);
   EXPECT_EQ(entries.front().candidate.engine_name, "multi-5");
   // Energy ordering is non-decreasing within the feasible prefix.
@@ -182,39 +270,40 @@ TEST(Planner, RanksFeasibleByEnergy) {
 }
 
 TEST(Planner, InfeasibleEntriesSortedByTime) {
-  const auto entries = plan_batch(synthetic_candidates(),
-                                  {.n_options = 1'000'000'000,
-                                   .deadline_seconds = 1.0});
+  const auto entries = whole_batch_plans(synthetic_candidates(),
+                                         {.n_options = 1'000'000'000,
+                                          .deadline_seconds = 1.0});
   for (const auto& e : entries) EXPECT_FALSE(e.meets_deadline);
   for (std::size_t i = 1; i < entries.size(); ++i) {
     EXPECT_GE(entries[i].projected_seconds,
               entries[i - 1].projected_seconds);
   }
-  EXPECT_FALSE(best_plan(entries).has_value());
+  EXPECT_FALSE(best_runtime_plan(entries).has_value());
 }
 
 TEST(Planner, BestPlanPicksFeasibleFront) {
   const auto entries =
-      plan_batch(synthetic_candidates(),
-                 {.n_options = 100'000, .deadline_seconds = 100.0});
-  const auto best = best_plan(entries);
+      whole_batch_plans(synthetic_candidates(),
+                        {.n_options = 100'000, .deadline_seconds = 100.0});
+  const auto best = best_runtime_plan(entries);
   ASSERT_TRUE(best.has_value());
   EXPECT_TRUE(best->meets_deadline);
   EXPECT_EQ(best->candidate.engine_name, "multi-5");
 }
 
 TEST(Planner, ValidationErrors) {
-  EXPECT_THROW(plan_batch({}, {.n_options = 1, .deadline_seconds = 1.0}),
+  EXPECT_THROW(
+      whole_batch_plans({}, {.n_options = 1, .deadline_seconds = 1.0}),
+      Error);
+  EXPECT_THROW(whole_batch_plans(synthetic_candidates(),
+                                 {.n_options = 0, .deadline_seconds = 1.0}),
                Error);
-  EXPECT_THROW(plan_batch(synthetic_candidates(),
-                          {.n_options = 0, .deadline_seconds = 1.0}),
-               Error);
-  EXPECT_THROW(plan_batch(synthetic_candidates(),
-                          {.n_options = 1, .deadline_seconds = 0.0}),
+  EXPECT_THROW(whole_batch_plans(synthetic_candidates(),
+                                 {.n_options = 1, .deadline_seconds = 0.0}),
                Error);
   EXPECT_THROW(
-      plan_batch({make_candidate("broken", 10.0, 0.0)},
-                 {.n_options = 1, .deadline_seconds = 1.0}),
+      whole_batch_plans({make_candidate("broken", 10.0, 0.0)},
+                        {.n_options = 1, .deadline_seconds = 1.0}),
       Error);
 }
 
@@ -340,8 +429,6 @@ TEST(Planner, EnumerateMeasuresRealBackends) {
   const auto scenario = workload::smoke_scenario(4);
   PlannerConfig config;
   config.probe_sizes = {16, 48};
-  config.probe_warmup_runs = 1;
-  config.probe_repeats = 2;
   config.fpga_engine_counts = {1, 2};
   // Keep the candidate list host-independent (cpu-vec appears only on SIMD
   // hosts; its enumeration is covered by tests/test_vector_kernel.cpp).
@@ -403,8 +490,6 @@ TEST(Planner, EnumerateSweepModeProbesSweepCandidatesOnly) {
   const auto scenario = workload::smoke_scenario(4);
   PlannerConfig config;
   config.probe_sizes = {16, 48};  // scenario counts, not option counts
-  config.probe_warmup_runs = 1;
-  config.probe_repeats = 1;
   config.sweep_mode = true;
   config.sweep_probe_options = 32;
   const auto candidates =

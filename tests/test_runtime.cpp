@@ -1,9 +1,10 @@
 /// \file test_runtime.cpp
-/// The sharded portfolio runtime: shard planning, shard-boundary
-/// correctness (bit-identical to a single-engine run for every CPU kernel
-/// and risk mode, including empty and one-option books), determinism
-/// across worker counts, the modelled multi-lane scaling, failing shards on
-/// a multi-lane runtime, and when the lanes' threads start.
+/// The sharded portfolio runtime: shard planning, the lane schedule behind
+/// every modelled figure and projection, shard-boundary correctness
+/// (bit-identical to a single-engine run for every CPU kernel and risk
+/// mode, including empty and one-option books), determinism across worker
+/// counts, the modelled multi-lane scaling, failing shards on a multi-lane
+/// runtime, and when the lanes' threads start.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <iterator>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "engines/registry.hpp"
 #include "runtime/portfolio_runtime.hpp"
 #include "runtime/shard.hpp"
@@ -83,6 +87,105 @@ TEST(ShardPlan, SetupAwareShardSizeAmortisesSetup) {
   EXPECT_THROW(runtime::setup_aware_shard_size(100, 4, 0.1, 0.0), Error);
   EXPECT_THROW(runtime::setup_aware_shard_size(100, 4, 0.1, 1e-3, 0.0),
                Error);
+}
+
+// --- the lane schedule ------------------------------------------------------
+
+TEST(LaneSchedule, ReproducesListScheduleMakespanBitForBit) {
+  Rng rng(9001);
+  for (const unsigned lanes : {1u, 2u, 3u, 7u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> tasks(
+          static_cast<std::size_t>(rng.uniform_int(1, 40)));
+      for (auto& t : tasks) t = rng.uniform(0.001, 2.0);
+
+      runtime::LaneSchedule projector(lanes);
+      for (const double t : tasks) projector.book(0.0, t);
+
+      const double offline = runtime::list_schedule_makespan(tasks, lanes);
+      // Same additions to the same lanes in the same order: bit equality,
+      // not approximate equality.
+      EXPECT_EQ(projector.makespan(), offline)
+          << lanes << " lanes, trial " << trial;
+    }
+  }
+}
+
+TEST(LaneSchedule, ListScheduleMatchesAPlainAdditiveSchedule) {
+  // The reference: each task added to the earliest-busy-until lane (lowest
+  // index on ties), the makespan a running maximum. The lane schedule must
+  // give the same lanes and the same makespan bits.
+  Rng rng(4242);
+  for (const unsigned lanes : {1u, 2u, 4u, 5u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> tasks(
+          static_cast<std::size_t>(rng.uniform_int(1, 60)));
+      for (auto& t : tasks) t = rng.uniform(1e-6, 3.0);
+      std::vector<double> busy(lanes, 0.0);
+      std::vector<unsigned> want_lane;
+      double want_makespan = 0.0;
+      for (const double t : tasks) {
+        const auto lane = static_cast<unsigned>(
+            std::min_element(busy.begin(), busy.end()) - busy.begin());
+        busy[lane] += t;
+        want_lane.push_back(lane);
+        want_makespan = std::max(want_makespan, busy[lane]);
+      }
+      std::vector<unsigned> lane_of;
+      const double makespan =
+          runtime::list_schedule_makespan(tasks, lanes, &lane_of);
+      EXPECT_EQ(lane_of, want_lane) << lanes << " lanes, trial " << trial;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(makespan),
+                std::bit_cast<std::uint64_t>(want_makespan))
+          << lanes << " lanes, trial " << trial;
+    }
+  }
+}
+
+TEST(LaneSchedule, ProjectDoesNotCommitCapacity) {
+  runtime::LaneSchedule projector(2);
+  const double first = projector.project(0.0, 1.0);
+  EXPECT_EQ(first, 1.0);
+  EXPECT_EQ(projector.project(0.0, 1.0), first)
+      << "project() must be side-effect free";
+  EXPECT_EQ(projector.makespan(), 0.0);
+  projector.book(0.0, 1.0);
+  EXPECT_EQ(projector.makespan(), 1.0);
+}
+
+TEST(LaneSchedule, LateArrivalStartsAtArrivalNotLaneFree) {
+  runtime::LaneSchedule projector(1);
+  projector.book(0.0, 1.0);  // lane free at 1.0
+  // Arriving at t=5 on an idle lane starts at 5, not 1.
+  EXPECT_EQ(projector.project(5.0, 2.0), 7.0);
+  // Arriving at t=0.5 on the busy lane queues behind it.
+  EXPECT_EQ(projector.project(0.5, 2.0), 3.0);
+}
+
+TEST(LaneSchedule, EarliestFinishWeighsEachLanesOwnCost) {
+  runtime::LaneSchedule lanes(3);
+  // Lane 0 costs 4 per task, lanes 1 and 2 cost 1: the fast lanes take the
+  // first six tasks (lowest index on ties); the seventh would finish at 4
+  // on every lane, so it goes to lane 0.
+  const double cost[] = {4.0, 1.0, 1.0};
+  const auto cost_of = [&](unsigned k) { return cost[k]; };
+  std::vector<unsigned> picked;
+  for (int task = 0; task < 7; ++task) {
+    const unsigned k = lanes.earliest_finish_lane(cost_of);
+    const double finish = lanes.book_on(k, 0.0, cost[k]);
+    EXPECT_EQ(finish, lanes.free_at(k));
+    picked.push_back(k);
+  }
+  EXPECT_EQ(picked, (std::vector<unsigned>{1, 2, 1, 2, 1, 2, 0}));
+  EXPECT_EQ(lanes.free_at(0), 4.0);
+  EXPECT_EQ(lanes.free_at(1), 3.0);
+  EXPECT_EQ(lanes.makespan(), 4.0);
+  // The earliest-free rule ignores costs: lanes 1 and 2 tie at 3.
+  EXPECT_EQ(lanes.earliest_free_lane(), 1u);
+}
+
+TEST(LaneSchedule, RejectsZeroLanes) {
+  EXPECT_THROW(runtime::LaneSchedule(0), Error);
 }
 
 TEST(ThreadPool, RunsAllTasksAndPropagatesExceptions) {
@@ -183,21 +286,46 @@ std::size_t live_threads() {
 }
 
 TEST(ShardRunner, ZeroLanesMeansAllCoresAndNoThreadStartsBeforeRun) {
-  const std::size_t before = live_threads();
-  const runtime::ShardRunner all_cores(0);
-  EXPECT_EQ(all_cores.lanes(),
-            std::max(1u, std::thread::hardware_concurrency()));
-  runtime::ShardRunner three(3);
-  EXPECT_EQ(three.lanes(), 3u);
-  EXPECT_EQ(live_threads(), before);
+  // The thread counts are taken in a child process that runs this test
+  // alone ("threadsafe" death tests re-execute the binary), so no thread an
+  // earlier test joined can still be listed under /proc/self/task. The
+  // child prints the first failed check and exits 1.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const auto check = [](bool ok, const char* what) {
+          if (ok) return;
+          std::fprintf(stderr, "%s\n", what);
+          std::exit(1);
+        };
+        // A sanitizer runtime may start a helper thread along with the
+        // process's first thread; one idle worker, alive until the child
+        // exits, makes that happen before the count.
+        const runtime::ThreadPool idle(1);
+        const std::size_t before = live_threads();
+        const runtime::ShardRunner all_cores(0);
+        check(all_cores.lanes() ==
+                  std::max(1u, std::thread::hardware_concurrency()),
+              "0 lanes must select every core");
+        runtime::ShardRunner three(3);
+        check(three.lanes() == 3u, "3 lanes requested");
+        check(live_threads() == before,
+              "a runner started a thread before its first run");
 
-  // The first run starts the lanes; later runs reuse them.
-  const auto plan = runtime::plan_shards(6, 1);
-  const auto one_second = [](const runtime::Shard&, unsigned) { return 1.0; };
-  three.run(plan, one_second);
-  EXPECT_EQ(live_threads(), before + 3);
-  three.run(plan, one_second);
-  EXPECT_EQ(live_threads(), before + 3);
+        // The first run starts the lanes; later runs reuse them.
+        const auto plan = runtime::plan_shards(6, 1);
+        const auto one_second = [](const runtime::Shard&, unsigned) {
+          return 1.0;
+        };
+        three.run(plan, one_second);
+        check(live_threads() == before + 3,
+              "the first run must start exactly 3 lanes");
+        three.run(plan, one_second);
+        check(live_threads() == before + 3,
+              "a second run must reuse the 3 lanes");
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -356,17 +484,6 @@ TEST(PortfolioRuntime, ModelledMakespanScalesWithLanes) {
   EXPECT_GT(one.run.total_seconds, four.run.total_seconds * 1.5);
   // Total simulated work is lane-count independent.
   EXPECT_EQ(one.run.kernel_cycles, four.run.kernel_cycles);
-}
-
-TEST(PortfolioRuntime, EngineReplicasCapConcurrency) {
-  const auto scenario = workload::smoke_scenario(8, 2);
-  runtime::RuntimeConfig cfg;
-  cfg.workers = 8;
-  cfg.engine_replicas = 2;
-  runtime::PortfolioRuntime rt(scenario.interest, scenario.hazard, cfg);
-  EXPECT_EQ(rt.lanes(), 2u);
-  const auto run = rt.price(scenario.options);
-  for (const auto& shard : run.shards) EXPECT_LT(shard.lane, 2u);
 }
 
 TEST(PortfolioRuntime, FailingShardThrowsAndTheRuntimeStaysUsable) {

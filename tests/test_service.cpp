@@ -403,5 +403,38 @@ TEST(ServiceLoopback, PoisonedStreamGetsRejectThenDisconnect) {
   EXPECT_EQ(pricing.stats().connections_poisoned, 1u);
 }
 
+// --- admission-fit calibration -----------------------------------------------
+
+TEST(CalibrateStreamFit, PriceAndRiskStreamsFitOneProbePerRequestedSize) {
+  // The path `serve` takes unless --ops-per-second pins the fit: the
+  // planner's probe protocol over fresh stream pricers.
+  runtime::StreamConfig price;
+  price.engine = "cpu-batch";
+  runtime::StreamConfig risk;
+  risk.engine = "cpu-batch-risk";
+  risk.ladder_edges = {0.0, 1.0, 3.0, 5.0, 7.0, 10.0, 30.0};  // 6 buckets
+  for (const auto* stream : {&price, &risk}) {
+    SCOPED_TRACE(stream->engine);
+    const auto fit = service::calibrate_stream_fit(
+        test_interest(), test_hazard(), *stream, {256, 32});
+    EXPECT_EQ(fit.engine_name, stream->engine);
+    EXPECT_GT(fit.options_per_second, 0.0);
+    EXPECT_GE(fit.setup_seconds, 0.0);
+    ASSERT_EQ(fit.probes.size(), 2u);
+    EXPECT_EQ(fit.probes[0].n_options, 32u);
+    EXPECT_EQ(fit.probes[1].n_options, 256u);
+    EXPECT_GT(fit.probes[0].seconds, 0.0);
+    EXPECT_GT(fit.probes[1].seconds, 0.0);
+    // The fit admits: a controller accepts it as is.
+    EXPECT_NO_THROW(service::AdmissionController(fit, 2));
+  }
+  EXPECT_THROW(
+      service::calibrate_stream_fit(test_interest(), test_hazard(), price, {}),
+      Error);
+  EXPECT_THROW(service::calibrate_stream_fit(test_interest(), test_hazard(),
+                                             price, {4}),
+               Error);
+}
+
 }  // namespace
 }  // namespace cdsflow

@@ -675,8 +675,6 @@ TEST(VectorKernel, PlannerEnumeratesVectorCandidateOnSimdHosts) {
   const auto hazard = workload::paper_hazard_curve(16, 6);
   engine::PlannerConfig config;
   config.probe_sizes = {8, 24};
-  config.probe_warmup_runs = 1;
-  config.probe_repeats = 1;
   config.fpga_engine_counts = {1};
 
   const auto has = [](const std::vector<engine::BackendCandidate>& candidates,

@@ -5,26 +5,27 @@
 ///   cdsflow_cli price --engine vectorised --count 256 [--seed 42]
 ///                     [--curve-interest f.csv] [--curve-hazard f.csv]
 ///                     [--portfolio book.csv] [--out results.csv]
-///                     [--workers N] [--shard-size S] [--replicas R]
+///                     [--workers N] [--shard-size S]
 ///                     [--auto-plan] [--deadline-s D] [--probe-sizes 128,2048]
 ///
 /// `--workers` / `--shard-size` route pricing through the sharded batch
 /// runtime (src/runtime/): the book is cut into shards and priced on N
-/// concurrent engine replicas, results merged back in submission order.
+/// lanes (one engine replica and one thread each), results merged back in
+/// submission order.
 ///
 /// `--auto-plan` replaces the hand-chosen flags with the probe-calibrated
 /// auto-planner (engines/planner.hpp): every candidate back-end is probed
 /// at >= 2 sizes, an affine cost model (setup + per-option) is fitted, and
 /// the cheapest engine x workers x shard_size plan whose projected list-
 /// schedule makespan meets `--deadline-s` (default 3600) is executed.
-/// Explicit --engine/--workers/--shard-size/--replicas flags override the
-/// planned values.
+/// Explicit --engine/--workers/--shard-size flags override the planned
+/// values.
 ///
 ///   cdsflow_cli risk  --engine cpu-batch-risk [--count N] [--seed S]
 ///                     [--bump B] [--ladder 0,1,3,5,7,10]
 ///                     [--curve-interest f.csv] [--curve-hazard f.csv]
 ///                     [--portfolio book.csv] [--out risk.csv]
-///                     [--workers N] [--shard-size S] [--replicas R]
+///                     [--workers N] [--shard-size S]
 ///                     [--auto-plan] [--deadline-s D] [--probe-sizes 128,2048]
 ///
 /// `risk` computes per-option CS01/IR01/Rec01/JTD (and a bucketed CS01
@@ -143,11 +144,18 @@
 ///   cdsflow_cli engines
 ///   cdsflow_cli device [--engines N] [--lanes L]
 ///
+/// Each command reads only the flags listed for it above: any other flag, a
+/// repeated flag and the --flag=value form are usage errors before anything
+/// is built.
+/// Counts, sizes, seeds and ports must be integers in range ("--count -1"
+/// and "--port 70000" are errors, not wrapped values).
+///
 /// Exit code 0 on success, 1 on usage/validation errors (message on
 /// stderr).
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -155,7 +163,9 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -195,29 +205,71 @@ double parse_double_strict(const std::string& s, const std::string& what) {
   return v;
 }
 
-long parse_long_strict(const std::string& s, const std::string& what) {
-  const char* begin = s.c_str();
-  char* end = nullptr;
-  const long v = std::strtol(begin, &end, 10);
-  CDSFLOW_EXPECT(end != begin && *end == '\0',
-                 what + " expects an integer, got '" + s + "'");
-  return v;
+/// The one integer parse (counts, sizes, seeds, ports, lanes): the whole
+/// field must be an integer in [lo, hi], checked before it is narrowed to T,
+/// so "-1" or a port of 70000 is a usage error instead of a wrapped value.
+/// `note` follows the range in the message.
+template <class T>
+T parse_uint_strict(const std::string& s, const std::string& what,
+                    T lo = 0, T hi = std::numeric_limits<T>::max(),
+                    const std::string& note = "") {
+  unsigned long long v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  CDSFLOW_EXPECT(ec == std::errc() && ptr == end && v >= lo && v <= hi,
+                 what + " must be in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]" + note + ", got '" + s + "'");
+  return static_cast<T>(v);
 }
 
-/// --flag [value] parser; flags are unique. A flag followed by another
-/// --flag (or by nothing) is boolean presence ("--auto-plan"); value-taking
-/// flags reject the resulting empty string in their strict parses.
+/// Splits "a,b,c" into its fields; an empty field is a usage error.
+std::vector<std::string> split_fields(const std::string& csv,
+                                      const std::string& flag) {
+  std::vector<std::string> fields;
+  std::size_t begin = 0;
+  while (begin <= csv.size()) {
+    const std::size_t comma = std::min(csv.find(',', begin), csv.size());
+    fields.push_back(csv.substr(begin, comma - begin));
+    CDSFLOW_EXPECT(!fields.back().empty(),
+                   flag + " expects a comma-separated list, got '" + csv +
+                       "'");
+    begin = comma + 1;
+  }
+  return fields;
+}
+
+/// --flag [value] parser over the flags one command reads. A flag followed
+/// by another --flag (or by nothing) is boolean presence ("--auto-plan");
+/// value-taking flags reject the resulting empty string in their strict
+/// parses. Any flag the command does not read, a repeated flag and the
+/// --flag=value form are rejected here, before anything is built.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first, const std::string& command,
+       std::span<const std::string_view> known) {
     for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
+      const std::string key = argv[i];
       CDSFLOW_EXPECT(key.rfind("--", 0) == 0, "expected --flag, got '" + key +
                                                   "'");
+      const std::string name = key.substr(2);
+      CDSFLOW_EXPECT(name.find('=') == std::string::npos,
+                     "'" + key + "': give the value after a space (--" +
+                         name.substr(0, name.find('=')) +
+                         " VALUE); the --flag=value form is not accepted");
+      if (std::find(known.begin(), known.end(), name) == known.end()) {
+        std::string flags;
+        for (const auto flag : known) {
+          flags += (flags.empty() ? "its flags: --" : ", --") +
+                   std::string(flag);
+        }
+        throw Error("unknown flag '" + key + "' for " + command + " (" +
+                    (flags.empty() ? "it takes no flags" : flags) + ")");
+      }
+      CDSFLOW_EXPECT(!values_.contains(name), "'" + key + "' given twice");
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key.substr(2)] = argv[++i];
+        values_[name] = argv[++i];
       } else {
-        values_[key.substr(2)] = "";  // boolean flag
+        values_[name] = "";  // boolean flag
       }
     }
   }
@@ -232,10 +284,13 @@ class Args {
     return get(key).value_or(std::move(fallback));
   }
 
-  long get_long_or(const std::string& key, long fallback) const {
+  /// parse_uint_strict() of --key, or `fallback` when absent.
+  template <class T>
+  T get_uint_or(const std::string& key, T fallback, T lo = 0,
+                T hi = std::numeric_limits<T>::max()) const {
     const auto v = get(key);
     if (!v) return fallback;
-    return parse_long_strict(*v, "--" + key);
+    return parse_uint_strict<T>(*v, "--" + key, lo, hi);
   }
 
   double get_double_or(const std::string& key, double fallback) const {
@@ -244,18 +299,13 @@ class Args {
     return parse_double_strict(*v, "--" + key);
   }
 
-  /// The one lane-count parse (--workers, --lanes): 0 means all cores, and
-  /// a negative or oversized value is rejected here, before any runtime is
-  /// constructed with it.
+  /// The one lane-count parse (--workers, --lanes): 0 means all cores.
   unsigned get_lanes_or(const std::string& key, unsigned fallback) const {
     const auto v = get(key);
     if (!v) return fallback;
-    const long n = parse_long_strict(*v, "--" + key);
-    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
-    CDSFLOW_EXPECT(n >= 0 && static_cast<unsigned long>(n) <= kMax,
-                   "--" + key + " must be in [0, " + std::to_string(kMax) +
-                       "] (0 = all cores), got '" + *v + "'");
-    return static_cast<unsigned>(n);
+    return parse_uint_strict<unsigned>(*v, "--" + key, 0,
+                                       std::numeric_limits<unsigned>::max(),
+                                       " (0 = all cores)");
   }
 
  private:
@@ -281,8 +331,8 @@ std::vector<cds::CdsOption> load_book(const Args& args) {
     return io::read_portfolio_csv(*args.get("portfolio"));
   }
   workload::PortfolioSpec spec;
-  spec.count = static_cast<std::size_t>(args.get_long_or("count", 256));
-  spec.seed = static_cast<std::uint64_t>(args.get_long_or("seed", 42));
+  spec.count = args.get_uint_or<std::size_t>("count", 256);
+  spec.seed = args.get_uint_or<std::uint64_t>("seed", 42);
   return workload::make_portfolio(spec);
 }
 
@@ -291,59 +341,44 @@ std::vector<cds::CdsOption> load_book(const Args& args) {
 std::vector<double> parse_edge_list(const std::string& csv,
                                     const std::string& flag = "--ladder") {
   std::vector<double> edges;
-  std::size_t begin = 0;
-  while (begin <= csv.size()) {
-    const std::size_t comma = std::min(csv.find(',', begin), csv.size());
-    const std::string field = csv.substr(begin, comma - begin);
-    CDSFLOW_EXPECT(!field.empty(),
-                   flag + " expects comma-separated numbers, got '" + csv +
-                       "'");
+  for (const auto& field : split_fields(csv, flag)) {
     edges.push_back(parse_double_strict(field, flag));
-    begin = comma + 1;
   }
   return edges;
 }
 
-/// Applies --workers/--shard-size/--replicas to `cfg` (only the flags that
-/// were given, so planned values survive as defaults); returns false when
-/// none of the sharding flags were present.
+/// --probe-sizes "128,2048" into `sizes` when given; the planner's
+/// checked_probe_sizes() validates them like every probe client's.
+void probe_sizes_from_args(const Args& args, std::vector<std::size_t>& sizes) {
+  if (!args.get("probe-sizes")) return;
+  sizes.clear();
+  for (const auto& field : split_fields(*args.get("probe-sizes"),
+                                        "--probe-sizes")) {
+    sizes.push_back(parse_uint_strict<std::size_t>(field, "--probe-sizes"));
+  }
+}
+
+/// Applies --workers/--shard-size to `cfg` (only the flags that were given,
+/// so planned values survive as defaults); returns false when neither
+/// sharding flag was present.
 bool runtime_config_from_args(const Args& args, runtime::RuntimeConfig& cfg) {
-  if (!args.get("workers") && !args.get("shard-size") &&
-      !args.get("replicas")) {
-    return false;
-  }
+  if (!args.get("workers") && !args.get("shard-size")) return false;
   cfg.workers = args.get_lanes_or("workers", cfg.workers);
-  if (args.get("shard-size")) {
-    const long shard_size = args.get_long_or("shard-size", 0);
-    CDSFLOW_EXPECT(shard_size >= 0, "--shard-size must be >= 0 (0 = auto)");
-    cfg.shard_size = static_cast<std::size_t>(shard_size);
-  }
-  if (args.get("replicas")) {
-    const long replicas = args.get_long_or("replicas", 0);
-    CDSFLOW_EXPECT(replicas >= 0, "--replicas must be >= 0 (0 = per worker)");
-    cfg.engine_replicas = static_cast<unsigned>(replicas);
-  }
+  cfg.shard_size = args.get_uint_or<std::size_t>("shard-size", cfg.shard_size);
   return true;
 }
 
 /// Runs the probe-calibrated auto-planner (--auto-plan) and returns the
-/// chosen RuntimeConfig, with any explicit --engine/--workers/--shard-size/
-/// --replicas flags applied as overrides on top of the plan.
+/// chosen RuntimeConfig, with any explicit --engine/--workers/--shard-size
+/// flags applied as overrides on top of the plan.
 runtime::RuntimeConfig auto_plan_config(const Args& args,
                                         const Curves& curves,
-                                        std::size_t n_options, bool risk_mode,
+                                        std::size_t n_options,
                                         const engine::CpuEngineConfig& cpu) {
   engine::PlannerConfig pcfg;
-  pcfg.risk_mode = risk_mode;
+  pcfg.risk_mode = cpu.risk_mode;
   pcfg.cpu = cpu;
-  if (args.get("probe-sizes")) {
-    pcfg.probe_sizes.clear();
-    for (const double v :
-         parse_edge_list(*args.get("probe-sizes"), "--probe-sizes")) {
-      CDSFLOW_EXPECT(v >= 1.0, "--probe-sizes entries must be >= 1");
-      pcfg.probe_sizes.push_back(static_cast<std::size_t>(v));
-    }
-  }
+  probe_sizes_from_args(args, pcfg.probe_sizes);
   const double deadline_s = args.get_double_or("deadline-s", 3600.0);
   CDSFLOW_EXPECT(deadline_s > 0.0, "--deadline-s must be > 0");
 
@@ -381,24 +416,25 @@ runtime::RuntimeConfig auto_plan_config(const Args& args,
   return cfg;
 }
 
-int cmd_price(const Args& args) {
-  const auto [interest, hazard] = load_curves(args);
-  const auto book = load_book(args);
-
-  const std::string engine_name = args.get_or("engine", "vectorised");
-  engine::PricingRun run;
+/// The batch path `price` and `risk` share: the auto-planned runtime
+/// (--auto-plan), the flag-given one (--workers / --shard-size), or else one
+/// `engine_name` engine prices the book; prints what ran and returns the run.
+engine::PricingRun price_batch(const Args& args, const Curves& curves,
+                               const std::vector<cds::CdsOption>& book,
+                               const std::string& engine_name,
+                               const engine::CpuEngineConfig& cpu) {
   runtime::RuntimeConfig cfg;
   cfg.engine = engine_name;
+  cfg.cpu = cpu;
   bool use_runtime;
   if (args.get("auto-plan")) {
-    cfg = auto_plan_config(args, {interest, hazard}, book.size(),
-                           /*risk_mode=*/false, {});
+    cfg = auto_plan_config(args, curves, book.size(), cpu);
     use_runtime = true;
   } else {
     use_runtime = runtime_config_from_args(args, cfg);
   }
   if (use_runtime) {
-    runtime::PortfolioRuntime rt(interest, hazard, cfg);
+    runtime::PortfolioRuntime rt(curves.interest, curves.hazard, cfg);
     auto batch = rt.price(book);
     std::cout << "sharded runtime: " << batch.lanes << " lane(s) of ["
               << rt.worker_description() << "], " << batch.shards.size()
@@ -410,20 +446,28 @@ int cmd_price(const Args& args) {
               << "wall throughput: "
               << with_thousands(batch.wall_options_per_second, 2)
               << " options/s\n";
-    run = std::move(batch.run);
-  } else {
-    auto engine = engine::make_engine(engine_name, interest, hazard);
-    run = engine->price(book);
-    std::cout << engine->description() << '\n'
-              << "options: " << book.size() << "\n"
-              << "throughput: " << with_thousands(run.options_per_second, 2)
-              << " options/s";
-    if (run.kernel_cycles > 0) {
-      std::cout << " (" << with_thousands(double(run.kernel_cycles), 0)
-                << " simulated kernel cycles)";
-    }
-    std::cout << '\n';
+    return std::move(batch.run);
   }
+  auto engine = engine::make_engine(engine_name, curves.interest,
+                                    curves.hazard, {}, cpu);
+  auto run = engine->price(book);
+  std::cout << engine->description() << '\n'
+            << "options: " << book.size() << "\n"
+            << "throughput: " << with_thousands(run.options_per_second, 2)
+            << " options/s";
+  if (run.kernel_cycles > 0) {
+    std::cout << " (" << with_thousands(double(run.kernel_cycles), 0)
+              << " simulated kernel cycles)";
+  }
+  std::cout << '\n';
+  return run;
+}
+
+int cmd_price(const Args& args) {
+  const Curves curves = load_curves(args);
+  const auto book = load_book(args);
+  const engine::PricingRun run = price_batch(
+      args, curves, book, args.get_or("engine", "vectorised"), {});
 
   if (args.get("out")) {
     io::write_results_csv(*args.get("out"), run.results);
@@ -443,7 +487,7 @@ int cmd_price(const Args& args) {
 }
 
 int cmd_risk(const Args& args) {
-  const auto [interest, hazard] = load_curves(args);
+  const Curves curves = load_curves(args);
   const auto book = load_book(args);
 
   const std::string engine_name = args.get_or("engine", "cpu-batch-risk");
@@ -458,39 +502,8 @@ int cmd_risk(const Args& args) {
     cpu.ladder_edges = parse_edge_list(*args.get("ladder"));
   }
 
-  engine::PricingRun run;
-  runtime::RuntimeConfig cfg;
-  cfg.engine = engine_name;
-  cfg.cpu = cpu;
-  bool use_runtime;
-  if (args.get("auto-plan")) {
-    cfg = auto_plan_config(args, {interest, hazard}, book.size(),
-                           /*risk_mode=*/true, cpu);
-    use_runtime = true;
-  } else {
-    use_runtime = runtime_config_from_args(args, cfg);
-  }
-  if (use_runtime) {
-    runtime::PortfolioRuntime rt(interest, hazard, cfg);
-    auto batch = rt.price(book);
-    std::cout << "sharded runtime: " << batch.lanes << " lane(s) of ["
-              << rt.worker_description() << "], " << batch.shards.size()
-              << " shard(s) of <= " << batch.shard_size << " options\n"
-              << "options: " << book.size() << "\n"
-              << "modelled throughput: "
-              << with_thousands(batch.run.options_per_second, 2)
-              << " options/s\nwall throughput: "
-              << with_thousands(batch.wall_options_per_second, 2)
-              << " options/s\n";
-    run = std::move(batch.run);
-  } else {
-    auto engine = engine::make_engine(engine_name, interest, hazard, {}, cpu);
-    run = engine->price(book);
-    std::cout << engine->description() << '\n'
-              << "options: " << book.size() << "\n"
-              << "throughput: " << with_thousands(run.options_per_second, 2)
-              << " options/s\n";
-  }
+  const engine::PricingRun run =
+      price_batch(args, curves, book, engine_name, cpu);
   CDSFLOW_EXPECT(run.sensitivities.size() == book.size(),
                  "engine returned no sensitivities");
 
@@ -535,33 +548,25 @@ int cmd_stream(const Args& args) {
   runtime::StreamConfig cfg;
   cfg.engine = args.get_or("engine", "cpu-batch");
   cfg.lanes = args.get_lanes_or("workers", 0);
-  const long queue_capacity = args.get_long_or("queue-capacity", 8192);
-  CDSFLOW_EXPECT(queue_capacity > 0, "--queue-capacity must be > 0");
-  cfg.queue_capacity = static_cast<std::size_t>(queue_capacity);
+  cfg.queue_capacity =
+      args.get_uint_or<std::size_t>("queue-capacity", 8192, 1);
   cfg.policy =
       runtime::parse_backpressure_policy(args.get_or("policy", "block"));
-  const long max_batch = args.get_long_or("max-batch", 1024);
-  CDSFLOW_EXPECT(max_batch > 0, "--max-batch must be > 0");
-  cfg.max_batch = static_cast<std::size_t>(max_batch);
-  const long max_wait_us = args.get_long_or("max-wait-us", 500);
-  CDSFLOW_EXPECT(max_wait_us >= 0, "--max-wait-us must be >= 0");
-  cfg.max_wait_us = static_cast<std::uint64_t>(max_wait_us);
-  const long deadline_us = args.get_long_or("deadline-us", 0);
-  CDSFLOW_EXPECT(deadline_us >= 0, "--deadline-us must be >= 0 (0 = off)");
-  cfg.deadline_us = static_cast<std::uint64_t>(deadline_us);
+  cfg.max_batch = args.get_uint_or<std::size_t>("max-batch", 1024, 1);
+  cfg.max_wait_us = args.get_uint_or<std::uint64_t>("max-wait-us", 500);
+  cfg.deadline_us = args.get_uint_or<std::uint64_t>("deadline-us", 0);
   cfg.risk_bump = args.get_double_or("bump", 1e-4);
   if (args.get("ladder")) {
     cfg.ladder_edges = parse_edge_list(*args.get("ladder"));
   }
 
   workload::QuoteFeedSpec feed_spec;
-  feed_spec.events =
-      static_cast<std::size_t>(args.get_long_or("count", 16384));
+  feed_spec.events = args.get_uint_or<std::size_t>("count", 16384);
   feed_spec.rate_hz = args.get_double_or("rate", 0.0);
   feed_spec.hazard_update_every =
-      static_cast<std::size_t>(args.get_long_or("hazard-every", 0));
+      args.get_uint_or<std::size_t>("hazard-every", 0);
   feed_spec.hazard_update_scale = args.get_double_or("hazard-scale", 0.05);
-  feed_spec.seed = static_cast<std::uint64_t>(args.get_long_or("seed", 42));
+  feed_spec.seed = args.get_uint_or<std::uint64_t>("seed", 42);
   if (args.get("tenors")) {
     // Standard-tenor quoting: many quotes share a schedule, the lanes' grid
     // caches (and the incremental updates) do the least work.
@@ -639,8 +644,8 @@ int cmd_sweep(const Args& args) {
     book = io::read_portfolio_csv(*args.get("portfolio"));
   } else {
     workload::PortfolioSpec spec;
-    spec.count = static_cast<std::size_t>(args.get_long_or("count", 4096));
-    spec.seed = static_cast<std::uint64_t>(args.get_long_or("seed", 42));
+    spec.count = args.get_uint_or<std::size_t>("count", 4096);
+    spec.seed = args.get_uint_or<std::uint64_t>("seed", 42);
     if (args.get("tenors")) {
       // Standard-tenor quoting: few unique schedules, maximal dedup -- the
       // book shape the sweep amortises best.
@@ -650,24 +655,20 @@ int cmd_sweep(const Args& args) {
     book = workload::make_portfolio(spec);
   }
 
-  const long n_scenarios = args.get_long_or("scenarios", 4096);
-  CDSFLOW_EXPECT(n_scenarios > 0, "--scenarios must be > 0");
+  const auto n_scenarios = args.get_uint_or<std::size_t>("scenarios", 4096, 1);
   const double shock_bp = args.get_double_or("shock-bp", 100.0);
   CDSFLOW_EXPECT(shock_bp > 0.0, "--shock-bp must be > 0");
   const std::string kind = args.get_or("kind", "hazard");
   workload::ScenarioSet set;
   if (kind == "hazard") {
-    set = workload::parallel_stress_scenarios(
-        hazard, static_cast<std::size_t>(n_scenarios), shock_bp);
+    set = workload::parallel_stress_scenarios(hazard, n_scenarios, shock_bp);
   } else if (kind == "mc") {
-    set = workload::mc_hazard_scenarios(
-        hazard, static_cast<std::size_t>(n_scenarios));
+    set = workload::mc_hazard_scenarios(hazard, n_scenarios);
   } else if (kind == "rate") {
-    set = workload::replay_scenarios(interest,
-                                     static_cast<std::size_t>(n_scenarios));
+    set = workload::replay_scenarios(interest, n_scenarios);
   } else if (kind == "joint") {
-    set = workload::joint_stress_scenarios(
-        interest, hazard, static_cast<std::size_t>(n_scenarios), shock_bp);
+    set = workload::joint_stress_scenarios(interest, hazard, n_scenarios,
+                                           shock_bp);
   } else {
     throw Error("--kind must be hazard, mc, rate or joint (got '" + kind +
                 "')");
@@ -675,9 +676,7 @@ int cmd_sweep(const Args& args) {
 
   runtime::SweepRuntimeConfig cfg;
   cfg.workers = args.get_lanes_or("workers", 1);
-  const long shard_size = args.get_long_or("shard-size", 0);
-  CDSFLOW_EXPECT(shard_size >= 0, "--shard-size must be >= 0 (0 = auto)");
-  cfg.shard_size = static_cast<std::size_t>(shard_size);
+  cfg.shard_size = args.get_uint_or<std::size_t>("shard-size", 0);
   cfg.level = cds::simd::active_level();
 
   runtime::SweepRuntime rt(interest, hazard, book, cfg);
@@ -748,7 +747,7 @@ int cmd_bootstrap(const Args& args) {
   return 0;
 }
 
-int cmd_engines() {
+int cmd_engines(const Args&) {
   std::cout << "registered engines:\n";
   const auto interest = workload::paper_interest_curve(64);
   const auto hazard = workload::paper_hazard_curve(64);
@@ -766,10 +765,9 @@ int cmd_device(const Args& args) {
   const auto device = fpga::alveo_u280();
   const fpga::ResourceEstimator estimator(device);
   fpga::EngineShape shape;
-  shape.hazard_lanes = static_cast<unsigned>(args.get_long_or("lanes", 6));
+  shape.hazard_lanes = args.get_uint_or<unsigned>("lanes", 6);
   shape.interpolation_lanes = shape.hazard_lanes;
-  const auto engines =
-      static_cast<unsigned>(args.get_long_or("engines", 5));
+  const auto engines = args.get_uint_or<unsigned>("engines", 5);
   std::cout << estimator.utilisation_report(shape, engines);
   return 0;
 }
@@ -828,21 +826,23 @@ service::DeadlineClass parse_deadline_class(const Args& args) {
 int cmd_serve(const Args& args) {
   const auto [interest, hazard] = load_curves(args);
 
-  const long n_tenants = args.get_long_or("tenants", 2);
-  const long n_risk = args.get_long_or("risk-tenants", 0);
-  CDSFLOW_EXPECT(n_tenants >= 1, "--tenants must be >= 1");
-  CDSFLOW_EXPECT(n_risk >= 0 && n_risk <= n_tenants,
-                 "--risk-tenants must lie in [0, --tenants]");
+  const auto n_tenants = args.get_uint_or<std::uint32_t>("tenants", 2, 1);
+  const auto n_risk =
+      args.get_uint_or<std::uint32_t>("risk-tenants", 0, 0, n_tenants);
   const std::string engine = args.get_or("engine", "cpu-batch");
   const auto klass = parse_deadline_class(args);
 
   runtime::StreamConfig stream;
   stream.engine = engine;
   stream.lanes = args.get_lanes_or("lanes", stream.lanes);
-  stream.max_batch = static_cast<std::size_t>(
-      args.get_long_or("max-batch", static_cast<long>(stream.max_batch)));
-  stream.max_wait_us = static_cast<std::uint64_t>(
-      args.get_long_or("max-wait-us", static_cast<long>(stream.max_wait_us)));
+  stream.max_batch =
+      args.get_uint_or<std::size_t>("max-batch", stream.max_batch, 1);
+  stream.max_wait_us =
+      args.get_uint_or<std::uint64_t>("max-wait-us", stream.max_wait_us);
+
+  net::ServerConfig server_config;
+  server_config.unix_path = args.get_or("unix", "");
+  server_config.tcp_port = args.get_uint_or<std::uint16_t>("port", 0);
 
   // Admission fit: explicit flags pin a deterministic model; otherwise the
   // serving engine is probed and fitted (the planner's probe->fit protocol).
@@ -861,9 +861,9 @@ int cmd_serve(const Args& args) {
 
   service::ServiceConfig config;
   config.stop_when_idle = args.get("stop-when-idle").has_value();
-  for (long i = 1; i <= n_tenants; ++i) {
+  for (std::uint32_t i = 1; i <= n_tenants; ++i) {
     service::TenantSpec spec;
-    spec.id = static_cast<std::uint32_t>(i);
+    spec.id = i;
     spec.name = "tenant-" + std::to_string(i);
     spec.deadline = klass;
     spec.stream = stream;
@@ -879,11 +879,6 @@ int cmd_serve(const Args& args) {
     }
     config.tenants.push_back(std::move(spec));
   }
-
-  net::ServerConfig server_config;
-  server_config.unix_path = args.get_or("unix", "");
-  server_config.tcp_port =
-      static_cast<std::uint16_t>(args.get_long_or("port", 0));
 
   net::Server server(server_config);
   service::PricingService pricing(config, interest, hazard);
@@ -934,16 +929,15 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_client_replay(const Args& args) {
-  const auto tenant =
-      static_cast<std::uint32_t>(args.get_long_or("tenant", 1));
+  const auto tenant = args.get_uint_or<std::uint32_t>("tenant", 1);
   CDSFLOW_EXPECT(tenant != 0, "--tenant 0 is reserved on the wire");
   const bool risk = args.get("risk").has_value();
+  const auto port = args.get_uint_or<std::uint16_t>("port", 0);
 
   workload::QuoteFeedSpec spec;
-  spec.events = static_cast<std::size_t>(args.get_long_or("events", 1024));
-  spec.hazard_update_every =
-      static_cast<std::size_t>(args.get_long_or("hazard-every", 64));
-  spec.seed = static_cast<std::uint64_t>(args.get_long_or("seed", 42));
+  spec.events = args.get_uint_or<std::size_t>("events", 1024);
+  spec.hazard_update_every = args.get_uint_or<std::size_t>("hazard-every", 64);
+  spec.seed = args.get_uint_or<std::uint64_t>("seed", 42);
   spec.tenant = tenant;
   if (args.get("tenors")) {
     spec.book.maturity_tenor_grid =
@@ -952,16 +946,14 @@ int cmd_client_replay(const Args& args) {
   const auto hazard = args.get("curve-hazard")
                           ? io::read_curve_csv(*args.get("curve-hazard"))
                           : workload::paper_hazard_curve();
-  const auto steps = slice_feed_for_wire(
-      workload::make_quote_feed(spec, hazard),
-      static_cast<std::size_t>(args.get_long_or("request-size", 64)));
+  const auto steps =
+      slice_feed_for_wire(workload::make_quote_feed(spec, hazard),
+                          args.get_uint_or<std::size_t>("request-size", 64));
 
   net::Client client =
       args.get("unix")
           ? net::Client::connect_unix(*args.get("unix"))
-          : net::Client::connect_tcp(
-                args.get_or("host", "127.0.0.1"),
-                static_cast<std::uint16_t>(args.get_long_or("port", 0)));
+          : net::Client::connect_tcp(args.get_or("host", "127.0.0.1"), port);
 
   // Pipelined replay: all frames out, then results in. The server responds
   // to requests in submission order per tenant, so responses can be matched
@@ -1023,8 +1015,7 @@ int cmd_cluster_worker(const Args& args) {
   cluster::WorkerConfig config;
   config.runtime.engine = args.get_or("engine", "cpu-batch");
   config.runtime.workers = args.get_lanes_or("workers", 1);
-  config.runtime.shard_size =
-      static_cast<std::size_t>(args.get_long_or("shard-size", 0));
+  config.runtime.shard_size = args.get_uint_or<std::size_t>("shard-size", 0);
   if (args.get("ops-per-second")) {
     config.fit.options_per_second =
         args.get_double_or("ops-per-second", 0.0);
@@ -1033,20 +1024,12 @@ int cmd_cluster_worker(const Args& args) {
     config.fit.setup_seconds = args.get_double_or("setup-s", 0.0);
   }
   config.fit.watts = args.get_double_or("watts", 0.0);
-  if (args.get("probe-sizes")) {
-    config.probe_sizes.clear();
-    for (const double v :
-         parse_edge_list(*args.get("probe-sizes"), "--probe-sizes")) {
-      CDSFLOW_EXPECT(v >= 1.0, "--probe-sizes entries must be >= 1");
-      config.probe_sizes.push_back(static_cast<std::size_t>(v));
-    }
-  }
+  probe_sizes_from_args(args, config.probe_sizes);
   config.stop_when_idle = args.get("stop-when-idle").has_value();
 
   net::ServerConfig server_config;
   server_config.unix_path = args.get_or("unix", "");
-  server_config.tcp_port =
-      static_cast<std::uint16_t>(args.get_long_or("port", 0));
+  server_config.tcp_port = args.get_uint_or<std::uint16_t>("port", 0);
 
   // Server first so the socket is already listening while a cold fit
   // calibrates -- coordinators retry their connect until then.
@@ -1082,8 +1065,7 @@ int cmd_cluster_price(const Args& args) {
                  "--nodes unix:/path[,...] or host:port[,...] is required");
 
   cluster::CoordinatorConfig config;
-  config.shard_size =
-      static_cast<std::size_t>(args.get_long_or("shard-size", 0));
+  config.shard_size = args.get_uint_or<std::size_t>("shard-size", 0);
   config.deadline_seconds = args.get_double_or("deadline-s", 3600.0);
   CDSFLOW_EXPECT(config.deadline_seconds > 0.0, "--deadline-s must be > 0");
   config.risk = risk;
@@ -1091,12 +1073,7 @@ int cmd_cluster_price(const Args& args) {
   const double bandwidth = args.get_double_or("bandwidth", 1.0e9);
   CDSFLOW_EXPECT(bandwidth > 0.0, "--bandwidth must be > 0");
 
-  std::size_t begin = 0;
-  const std::string& specs = *nodes_arg;
-  while (begin <= specs.size()) {
-    const std::size_t comma = std::min(specs.find(',', begin), specs.size());
-    const std::string field = specs.substr(begin, comma - begin);
-    CDSFLOW_EXPECT(!field.empty(), "--nodes contains an empty entry");
+  for (const auto& field : split_fields(*nodes_arg, "--nodes")) {
     cluster::NodeSpec spec;
     spec.connect_timeout_seconds = connect_timeout;
     spec.link.bytes_per_second = bandwidth;
@@ -1110,11 +1087,10 @@ int cmd_cluster_price(const Args& args) {
                      "--nodes entry '" + field +
                          "' is neither unix:/path nor host:port");
       spec.host = field.substr(0, colon);
-      spec.tcp_port = static_cast<std::uint16_t>(
-          parse_long_strict(field.substr(colon + 1), "--nodes port"));
+      spec.tcp_port = parse_uint_strict<std::uint16_t>(
+          field.substr(colon + 1), "--nodes port");
     }
     config.nodes.push_back(std::move(spec));
-    begin = comma + 1;
   }
 
   cluster::ClusterCoordinator coordinator(std::move(config));
@@ -1195,7 +1171,7 @@ int cmd_cluster_price(const Args& args) {
   return 0;
 }
 
-int cmd_build_info() {
+int cmd_build_info(const Args&) {
   // Machine-readable build provenance, one key=value per line. CI guards
   // parse this: scripts/cluster_smoke.sh refuses to certify a clang build
   // whose thread-safety annotations were compiled out (a silently
@@ -1225,6 +1201,64 @@ int cmd_build_info() {
   return 0;
 }
 
+/// One command: its name, every flag it reads (Args rejects the rest) and
+/// its entry point.
+struct Command {
+  std::string_view name;
+  std::vector<std::string_view> flags;
+  int (*run)(const Args&);
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> kCommands = {
+      {"price",
+       {"engine", "count", "seed", "portfolio", "curve-interest",
+        "curve-hazard", "out", "workers", "shard-size", "auto-plan",
+        "deadline-s", "probe-sizes"},
+       cmd_price},
+      {"risk",
+       {"engine", "count", "seed", "portfolio", "curve-interest",
+        "curve-hazard", "out", "workers", "shard-size", "auto-plan",
+        "deadline-s", "probe-sizes", "bump", "ladder"},
+       cmd_risk},
+      {"stream",
+       {"engine", "count", "seed", "rate", "max-batch", "max-wait-us",
+        "deadline-us", "policy", "queue-capacity", "workers", "hazard-every",
+        "hazard-scale", "tenors", "bump", "ladder", "curve-interest",
+        "curve-hazard", "out", "batch-trace"},
+       cmd_stream},
+      {"sweep",
+       {"scenarios", "kind", "shock-bp", "count", "seed", "tenors",
+        "workers", "shard-size", "curve-interest", "curve-hazard",
+        "portfolio", "out"},
+       cmd_sweep},
+      {"serve",
+       {"unix", "port", "tenants", "risk-tenants", "engine", "lanes",
+        "max-batch", "max-wait-us", "class", "ops-per-second", "setup-s",
+        "stop-when-idle", "latency-cdf", "curve-interest", "curve-hazard"},
+       cmd_serve},
+      {"client-replay",
+       {"unix", "host", "port", "tenant", "events", "request-size",
+        "hazard-every", "risk", "seed", "tenors", "out", "curve-hazard"},
+       cmd_client_replay},
+      {"cluster-worker",
+       {"unix", "port", "engine", "workers", "shard-size", "ops-per-second",
+        "setup-s", "watts", "probe-sizes", "stop-when-idle",
+        "curve-interest", "curve-hazard"},
+       cmd_cluster_worker},
+      {"cluster-price",
+       {"nodes", "count", "seed", "portfolio", "risk", "shard-size",
+        "deadline-s", "connect-timeout-s", "bandwidth", "verify", "out",
+        "curve-interest", "curve-hazard"},
+       cmd_cluster_price},
+      {"bootstrap", {"quotes", "out", "curve-interest"}, cmd_bootstrap},
+      {"engines", {}, cmd_engines},
+      {"device", {"engines", "lanes"}, cmd_device},
+      {"build-info", {}, cmd_build_info},
+  };
+  return kCommands;
+}
+
 int usage() {
   std::cerr << "usage: cdsflow_cli <price|risk|stream|sweep|serve|"
                "client-replay|cluster-worker|cluster-price|bootstrap|"
@@ -1238,21 +1272,13 @@ int usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  const auto& table = commands();
+  const auto it = std::find_if(table.begin(), table.end(),
+                               [&](const Command& c) { return c.name == command; });
+  if (it == table.end()) return usage();
   try {
-    const Args args(argc, argv, 2);
-    if (command == "price") return cmd_price(args);
-    if (command == "risk") return cmd_risk(args);
-    if (command == "stream") return cmd_stream(args);
-    if (command == "sweep") return cmd_sweep(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "client-replay") return cmd_client_replay(args);
-    if (command == "cluster-worker") return cmd_cluster_worker(args);
-    if (command == "cluster-price") return cmd_cluster_price(args);
-    if (command == "bootstrap") return cmd_bootstrap(args);
-    if (command == "engines") return cmd_engines();
-    if (command == "device") return cmd_device(args);
-    if (command == "build-info") return cmd_build_info();
-    return usage();
+    const Args args(argc, argv, 2, command, it->flags);
+    return it->run(args);
   } catch (const cdsflow::Error& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
