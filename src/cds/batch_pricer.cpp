@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "cds/legs.hpp"
@@ -346,25 +347,33 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
   stats.base = build_grids(options, ws.base);
   if (options.empty()) return stats;
 
-  // The bumped curves are built once per *batch*; the scalar loop rebuilds
-  // them once per option. They keep the base knot times, so the hazard
-  // bumps are one kHazard scenario set -- the rows of their values -- and
-  // the interest bumps two rate scenarios, each over the base grids.
+  // The bumps keep the base knot times, so the hazard bumps are one kHazard
+  // scenario set -- rows of knot values written straight from the base
+  // curve, rows 2k / 2k + 1 moving the knots in [t_lo, t_hi) by +/-bump as
+  // bucket_bump (over [-inf, inf): parallel_bump) would -- and the interest
+  // bumps two rate scenarios, each over the base grids.
   const std::size_t n_knots = hazard_.size();
   const std::size_t n_hazard = 2 + 2 * n_buckets;
   ws.hazard_rows.resize(n_hazard * n_knots);
-  const auto put_row = [&](std::size_t row, const TermStructure& curve) {
-    std::ranges::copy(curve.values(), ws.hazard_rows.data() + row * n_knots);
+  const auto put_rows = [&](std::size_t up_row, double t_lo, double t_hi) {
+    for (const std::size_t row : {up_row, up_row + 1}) {
+      const double step = row == up_row ? bump : -bump;
+      double* values = ws.hazard_rows.data() + row * n_knots;
+      for (std::size_t k = 0; k < n_knots; ++k) {
+        const double t = hazard_.times()[k];
+        const double v = hazard_.values()[k];
+        values[k] = t_lo <= t && t < t_hi ? v + step : v;
+      }
+    }
   };
-  put_row(0, parallel_bump(hazard_, bump));
-  put_row(1, parallel_bump(hazard_, -bump));
-  const TermStructure interest_bumps[] = {parallel_bump(interest_, bump),
-                                          parallel_bump(interest_, -bump)};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  put_rows(0, -kInf, kInf);
   const auto& edges = config.ladder_edges;
   for (std::size_t b = 0; b < n_buckets; ++b) {
-    put_row(2 + 2 * b, bucket_bump(hazard_, edges[b], edges[b + 1], bump));
-    put_row(3 + 2 * b, bucket_bump(hazard_, edges[b], edges[b + 1], -bump));
+    put_rows(2 + 2 * b, edges[b], edges[b + 1]);
   }
+  const TermStructure interest_bumps[] = {parallel_bump(interest_, bump),
+                                          parallel_bump(interest_, -bump)};
 
   // Pass 2b -- every scenario's per-grid sums, block by block of whole
   // grids so the scenario scratch stays one block whatever the book size.

@@ -15,40 +15,23 @@ namespace stream_detail {
 
 void BatchCollector::put(BatchResult result) {
   MutexLock lock(mutex_);
-  results_.push_back(std::move(result));
+  const std::size_t index = result.index;
+  const bool fresh =
+      index >= next_ && stored_.try_emplace(index, std::move(result)).second;
+  CDSFLOW_ASSERT(fresh, "micro-batch merge got a batch index twice");
 }
 
-std::vector<BatchResult> BatchCollector::take() {
+std::vector<BatchResult> BatchCollector::take_ready(
+    std::optional<std::size_t> submitted) {
   MutexLock lock(mutex_);
-  std::sort(results_.begin(), results_.end(),
-            [](const BatchResult& a, const BatchResult& b) {
-              return a.index < b.index;
-            });
-  for (std::size_t i = 0; i < results_.size(); ++i) {
-    CDSFLOW_ASSERT(results_[i].index == i,
-                   "micro-batch merge lost or duplicated a batch");
-  }
-  return std::move(results_);
-}
-
-std::vector<BatchResult> BatchCollector::peek_ready(std::size_t begin) const {
-  MutexLock lock(mutex_);
-  // results_ is small and unsorted (lanes complete out of order); walk the
-  // contiguous index run from `begin` with a linear probe per step.
   std::vector<BatchResult> ready;
-  for (std::size_t want = begin;; ++want) {
-    const auto it =
-        std::find_if(results_.begin(), results_.end(),
-                     [want](const BatchResult& r) { return r.index == want; });
-    if (it == results_.end()) break;
-    ready.push_back(*it);
+  while (!stored_.empty() && stored_.begin()->first == next_) {
+    ready.push_back(std::move(stored_.extract(stored_.begin()).mapped()));
+    ++next_;
   }
+  CDSFLOW_ASSERT(!submitted || (next_ == *submitted && stored_.empty()),
+                 "micro-batch merge lost a batch");
   return ready;
-}
-
-std::size_t BatchCollector::count() const {
-  MutexLock lock(mutex_);
-  return results_.size();
 }
 
 }  // namespace stream_detail
@@ -142,16 +125,18 @@ void StreamRuntime::submit_batch(std::vector<QuoteEvent> events) {
     std::vector<cds::CdsOption> options;
     options.reserve(n);
     for (const QuoteEvent& event : *batch) options.push_back(event.option);
-    out.results.resize(n);
+    engine::PricingRun& rows = out.rows;
+    rows.results.resize(n);
 
     const auto t0 = StreamClock::now();
     if (pricer.risk_mode()) {
-      out.sensitivities.resize(n);
-      out.cs01_ladder.resize(n * pricer.ladder_buckets());
-      pricer.price_with_sensitivities(options, out.results, out.sensitivities,
-                                      out.cs01_ladder);
+      rows.ladder_buckets = pricer.ladder_buckets();
+      rows.sensitivities.resize(n);
+      rows.cs01_ladder.resize(n * rows.ladder_buckets);
+      pricer.price_with_sensitivities(options, rows.results, rows.sensitivities,
+                                      rows.cs01_ladder);
     } else {
-      pricer.price(options, out.results);
+      pricer.price(options, rows.results);
     }
     const auto t1 = StreamClock::now();
 
@@ -244,54 +229,31 @@ StreamReport StreamRuntime::finish() {
     report.full_rebuild_grids += pricer->stats().full_rebuild_grids;
   }
 
-  auto batches = collector_.take();
-  const double deadline_seconds =
-      static_cast<double>(config_.deadline_us) * 1e-6;
-  std::vector<double> pricing_seconds;
-  std::vector<double> latencies;
-  pricing_seconds.reserve(batches.size());
-  StreamClock::time_point last_done = first_ingest_;
-  for (auto& batch : batches) {
-    report.run.results.insert(report.run.results.end(), batch.results.begin(),
-                              batch.results.end());
-    if (!batch.sensitivities.empty()) {
-      report.run.sensitivities.insert(report.run.sensitivities.end(),
-                                      batch.sensitivities.begin(),
-                                      batch.sensitivities.end());
-      report.run.ladder_buckets = ladder_buckets();
-      report.run.cs01_ladder.insert(report.run.cs01_ladder.end(),
-                                    batch.cs01_ladder.begin(),
-                                    batch.cs01_ladder.end());
-    }
-    StreamBatchOutcome outcome;
-    outcome.index = batch.index;
-    outcome.events = batch.results.size();
-    outcome.lane = batch.lane;
-    outcome.pricing_seconds = batch.pricing_seconds;
-    for (const double latency : batch.latency_seconds) {
-      outcome.max_latency_seconds =
-          std::max(outcome.max_latency_seconds, latency);
-      if (config_.deadline_us > 0 && latency > deadline_seconds) {
-        ++outcome.deadline_misses;
-      }
-    }
-    report.deadline_misses += outcome.deadline_misses;
-    latencies.insert(latencies.end(), batch.latency_seconds.begin(),
-                     batch.latency_seconds.end());
-    pricing_seconds.push_back(batch.pricing_seconds);
-    last_done = std::max(last_done, batch.done);
-    report.batches.push_back(outcome);
-
-    report.run.kernel_seconds += batch.pricing_seconds;
-    report.run.invocations += 1;
+  // The batches never polled: their rows are the report's, appended in
+  // index order like the batch runtime's shards.
+  for (const auto& batch : collector_.take_ready(next_batch_index_)) {
+    const std::size_t first_event = ledger_latencies_.size();
+    record(batch);
+    append_shard_rows({batch.index, first_event, ledger_latencies_.size()},
+                      batch.rows, report.run);
   }
-  report.events_priced = report.run.results.size();
+  std::vector<double> pricing_seconds;
+  pricing_seconds.reserve(ledger_.size());
+  for (const StreamBatchOutcome& outcome : ledger_) {
+    report.events_priced += outcome.events;
+    report.deadline_misses += outcome.deadline_misses;
+    report.run.kernel_seconds += outcome.pricing_seconds;
+    pricing_seconds.push_back(outcome.pricing_seconds);
+  }
+  report.run.invocations = ledger_.size();
+  report.batches = std::move(ledger_);
 
-  if (!latencies.empty()) {
-    report.max_latency_seconds =
-        *std::max_element(latencies.begin(), latencies.end());
-    report.p50_latency_seconds = percentile(latencies, 50.0);
-    report.p99_latency_seconds = percentile(std::move(latencies), 99.0);
+  if (!ledger_latencies_.empty()) {
+    report.max_latency_seconds = *std::max_element(ledger_latencies_.begin(),
+                                                   ledger_latencies_.end());
+    report.p50_latency_seconds = percentile(ledger_latencies_, 50.0);
+    report.p99_latency_seconds =
+        percentile(std::move(ledger_latencies_), 99.0);
   }
 
   report.modelled_seconds =
@@ -304,9 +266,10 @@ StreamReport StreamRuntime::finish() {
         static_cast<double>(report.events_priced) / report.modelled_seconds;
     report.run.options_per_second = report.modelled_events_per_second;
   }
-  if (first_ingest_set_) {
-    report.wall_seconds =
-        std::chrono::duration<double>(last_done - first_ingest_).count();
+  if (!report.batches.empty()) {  // so first_ingest_ is set
+    report.wall_seconds = std::chrono::duration<double>(ledger_last_done_ -
+                                                        first_ingest_)
+                              .count();
   }
   if (report.wall_seconds > 0.0) {
     report.wall_events_per_second =
@@ -318,9 +281,31 @@ StreamReport StreamRuntime::finish() {
 }
 
 std::vector<stream_detail::BatchResult> StreamRuntime::poll_batches() {
-  auto ready = collector_.peek_ready(next_polled_batch_);
-  next_polled_batch_ += ready.size();
+  auto ready = collector_.take_ready();
+  for (const auto& batch : ready) record(batch);
   return ready;
+}
+
+void StreamRuntime::record(const stream_detail::BatchResult& batch) {
+  const double deadline_seconds =
+      static_cast<double>(config_.deadline_us) * 1e-6;
+  StreamBatchOutcome outcome;
+  outcome.index = batch.index;
+  outcome.events = batch.rows.results.size();
+  outcome.lane = batch.lane;
+  outcome.pricing_seconds = batch.pricing_seconds;
+  for (const double latency : batch.latency_seconds) {
+    outcome.max_latency_seconds =
+        std::max(outcome.max_latency_seconds, latency);
+    if (config_.deadline_us > 0 && latency > deadline_seconds) {
+      ++outcome.deadline_misses;
+    }
+  }
+  ledger_.push_back(outcome);
+  ledger_latencies_.insert(ledger_latencies_.end(),
+                           batch.latency_seconds.begin(),
+                           batch.latency_seconds.end());
+  ledger_last_done_ = std::max(ledger_last_done_, batch.done);
 }
 
 StreamReport StreamRuntime::play(

@@ -22,22 +22,26 @@
 ///                  ThreadPool lane           barrier (drain in-flight),
 ///                  (StreamPricer replica)    then update *every* replica
 ///                           |                incrementally
-///                  BatchCollector.put(index, results)
+///                  BatchCollector.put(batch), keyed by batch index
 ///                           |
-///                  finish(): concatenate batches in index order
+///                  take_ready(): each batch leaves once, in index order
 ///                  == event ingest order, whatever order lanes finished in
+///                           |
+///                  poll_batches() while live, finish() at the end: the
+///                  ledger records each batch; finish() appends the rows
+///                  of batches never polled (append_shard_rows)
 ///
 /// Determinism guarantee: micro-batches are formed and indexed in ingest
 /// (sequence) order, every lane replica holds identical curve/grid state
 /// between barriers (hazard updates are applied to all replicas at a
-/// barrier, in event order), and the merge concatenates batches by index.
-/// The merged spreads for a given accepted-event sequence are therefore
-/// bit-identical to replaying the same events through one StreamPricer
-/// serially, regardless of lane count, batch boundaries or completion
-/// order. (Under kDropOldest the *accepted* sequence itself depends on
-/// producer/dispatcher timing; the guarantee is order- and
-/// value-determinism for whatever survived, which is what a lossy feed can
-/// promise.)
+/// barrier, in event order), and batches leave the collector by index. The
+/// polled rows followed by finish()'s rows for a given accepted-event
+/// sequence are therefore bit-identical to replaying the same events
+/// through one StreamPricer serially, regardless of lane count, batch
+/// boundaries, completion order or polling. (Under kDropOldest the
+/// *accepted* sequence itself depends on producer/dispatcher timing; the
+/// guarantee is order- and value-determinism for whatever survived, which
+/// is what a lossy feed can promise.)
 ///
 /// Deadline accounting definitions (all anchored at the queue's ingest
 /// stamp):
@@ -55,7 +59,9 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,9 +119,10 @@ struct StreamBatchOutcome {
 
 struct StreamReport {
   /// Merged run: results (and, in risk mode, sensitivities / cs01_ladder)
-  /// in event-ingest order; kernel_seconds sums the per-batch pricing
-  /// times, total_seconds is the modelled lane makespan, invocations the
-  /// batch count.
+  /// in event-ingest order of the batches poll_batches() never handed out
+  /// (all of them if never polled); kernel_seconds sums the per-batch
+  /// pricing times, total_seconds is the modelled lane makespan,
+  /// invocations the batch count, over every batch, polled or not.
   engine::PricingRun run;
   std::vector<StreamBatchOutcome> batches;
 
@@ -151,34 +158,34 @@ struct BatchResult {
   unsigned lane = 0;
   double pricing_seconds = 0.0;
   StreamClock::time_point done{};
-  std::vector<cds::SpreadResult> results;
-  std::vector<cds::Sensitivities> sensitivities;
-  std::vector<double> cs01_ladder;
+  /// Its rows in event order: results and, in risk mode, sensitivities and
+  /// cs01_ladder (ladder_buckets per option).
+  engine::PricingRun rows;
   /// Per option event, batch order: done - ingest.
   std::vector<double> latency_seconds;
 };
 
-/// Thread-safe store of priced micro-batches, merged back in batch-index
-/// order regardless of completion order -- the streaming counterpart of the
-/// batch runtime's shard merge.
+/// Thread-safe store of priced micro-batches keyed by batch index. Lanes put
+/// batches in any order; the one reader takes them out strictly in index
+/// order -- the streaming counterpart of the batch runtime's shard merge.
 class BatchCollector {
  public:
-  /// Any lane, any order. Indices must be unique.
+  /// Any lane, any order. Throws on an index already stored or taken.
   void put(BatchResult result) CDSFLOW_EXCLUDES(mutex_);
-  /// Hands back all batches sorted by index; asserts they are the
-  /// contiguous range 0..n-1 (no batch lost, none duplicated).
-  std::vector<BatchResult> take() CDSFLOW_EXCLUDES(mutex_);
-  /// Copies the contiguous completed prefix starting at batch index `begin`
-  /// (stops at the first gap) without removing anything -- the incremental
-  /// counterpart of take() for callers that need results while the stream
-  /// is still live. take()'s contiguity assertion is unaffected.
-  std::vector<BatchResult> peek_ready(std::size_t begin) const
+  /// The one reader (one consumer thread): moves out the contiguous run of
+  /// completed batches from the first index not yet taken, stopping at the
+  /// first gap, and forgets them. The last read, once no batch is in
+  /// flight, passes the number of batches `submitted` in all and throws
+  /// unless that run ends there with nothing left behind (a lost batch).
+  std::vector<BatchResult> take_ready(
+      std::optional<std::size_t> submitted = std::nullopt)
       CDSFLOW_EXCLUDES(mutex_);
-  std::size_t count() const CDSFLOW_EXCLUDES(mutex_);
 
  private:
-  mutable Mutex mutex_;
-  std::vector<BatchResult> results_ CDSFLOW_GUARDED_BY(mutex_);
+  Mutex mutex_;
+  std::map<std::size_t, BatchResult> stored_ CDSFLOW_GUARDED_BY(mutex_);
+  /// First index not yet taken.
+  std::size_t next_ CDSFLOW_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace stream_detail
@@ -204,8 +211,9 @@ class StreamRuntime {
   void close();
 
   /// Closes ingest, drains everything, joins the dispatcher and returns the
-  /// merged report. Call at most once; rethrows the first lane/dispatcher
-  /// exception, if any.
+  /// report: the accounting of every batch, and the rows of the batches
+  /// poll_batches() never handed out. Call at most once, from the thread
+  /// that polls; rethrows the first lane/dispatcher exception, if any.
   StreamReport finish();
 
   /// Convenience: plays a pre-materialised feed -- pacing producers by the
@@ -213,14 +221,14 @@ class StreamRuntime {
   /// -- then finish()es.
   StreamReport play(const std::vector<workload::QuoteFeedEvent>& feed);
 
-  /// Session hook for live consumers (the pricing service): hands back the
+  /// Session hook for live consumers (the pricing service): moves out the
   /// micro-batches completed since the previous poll_batches() call, in
-  /// batch-index (= event ingest) order, while the stream stays open.
-  /// Copies -- finish() still returns the full merged report afterwards.
-  /// Because batches are returned only once their whole contiguous prefix
-  /// is complete, concatenating the polled results reproduces the merged
-  /// event-order result stream incrementally (same determinism guarantee as
-  /// finish(), see file header). Call from one consumer thread.
+  /// batch-index (= event ingest) order, while the stream stays open. The
+  /// runtime keeps only their accounting: finish() still counts them, but
+  /// returns only the rows never polled. Because batches are returned only
+  /// once their whole contiguous prefix is complete, the polled rows
+  /// followed by finish()'s are the rows of a never-polled run (see file
+  /// header). Call from one consumer thread.
   std::vector<stream_detail::BatchResult> poll_batches();
 
   unsigned lanes() const { return lanes_; }
@@ -236,6 +244,8 @@ class StreamRuntime {
   void submit_batch(std::vector<QuoteEvent> events);
   /// Waits for every in-flight micro-batch (dispatcher thread only).
   void barrier();
+  /// Enters a batch taken from the collector in the ledger.
+  void record(const stream_detail::BatchResult& batch);
 
   StreamConfig config_;
   cds::StreamPricerConfig pricer_config_;
@@ -260,9 +270,12 @@ class StreamRuntime {
   bool first_ingest_set_ = false;
   StreamClock::time_point first_ingest_{};
 
-  /// First batch index the next poll_batches() call will hand back
-  /// (consumer-thread state, see poll_batches()).
-  std::size_t next_polled_batch_ = 0;
+  /// Ledger of the batches handed out so far, in index order: outcome,
+  /// event latencies and latest completion. Consumer-thread state (the
+  /// thread calling poll_batches() and finish()).
+  std::vector<StreamBatchOutcome> ledger_;
+  std::vector<double> ledger_latencies_;
+  StreamClock::time_point ledger_last_done_{};
 
   bool finished_ = false;
 };

@@ -100,31 +100,38 @@ AdmissionDecision TenantSession::submit(
   return decision;
 }
 
+void TenantSession::buffer(const engine::PricingRun& rows) {
+  unsent_results_.insert(unsent_results_.end(), rows.results.begin(),
+                         rows.results.end());
+  if (risk()) {
+    unsent_greeks_.insert(unsent_greeks_.end(), rows.sensitivities.begin(),
+                          rows.sensitivities.end());
+  }
+}
+
 std::vector<TenantSession::Completed> TenantSession::complete_ready(
     double now_seconds) {
   std::vector<Completed> done;
   while (!pending_.empty() &&
-         buffered_results_.size() >= pending_.front().n_options) {
+         unsent_results_.size() >= pending_.front().n_options) {
     const Pending& pending = pending_.front();
     Completed completed;
     completed.conn = pending.conn;
     completed.request = pending.request;
     completed.status = pending.status;
     completed.risk = risk();
-    const auto end =
-        buffered_results_.begin() +
-        static_cast<std::ptrdiff_t>(pending.n_options);
-    completed.results.assign(buffered_results_.begin(), end);
-    buffered_results_.erase(buffered_results_.begin(), end);
+    const auto n = static_cast<std::ptrdiff_t>(pending.n_options);
+    completed.results.assign(unsent_results_.begin(),
+                             unsent_results_.begin() + n);
+    unsent_results_.erase(unsent_results_.begin(),
+                          unsent_results_.begin() + n);
     if (risk()) {
-      const auto gend = buffered_greeks_.begin() +
-                        static_cast<std::ptrdiff_t>(pending.n_options);
-      completed.greeks.assign(buffered_greeks_.begin(), gend);
-      buffered_greeks_.erase(buffered_greeks_.begin(), gend);
+      completed.greeks.assign(unsent_greeks_.begin(),
+                              unsent_greeks_.begin() + n);
+      unsent_greeks_.erase(unsent_greeks_.begin(), unsent_greeks_.begin() + n);
     }
     completed.latency_us = (now_seconds - pending.arrival_seconds) * 1e6;
     latency_us_.push_back(completed.latency_us);
-    consumed_events_ += pending.n_options;
     pending_.pop_front();
     done.push_back(std::move(completed));
   }
@@ -133,15 +140,7 @@ std::vector<TenantSession::Completed> TenantSession::complete_ready(
 
 std::vector<TenantSession::Completed> TenantSession::poll(double now_seconds) {
   CDSFLOW_EXPECT(!drained_, "tenant session already drained");
-  for (auto& batch : runtime_.poll_batches()) {
-    buffered_results_.insert(buffered_results_.end(), batch.results.begin(),
-                             batch.results.end());
-    if (risk()) {
-      buffered_greeks_.insert(buffered_greeks_.end(),
-                              batch.sensitivities.begin(),
-                              batch.sensitivities.end());
-    }
-  }
+  for (const auto& batch : runtime_.poll_batches()) buffer(batch.rows);
   return complete_ready(now_seconds);
 }
 
@@ -149,22 +148,8 @@ std::vector<TenantSession::Completed> TenantSession::drain(
     double now_seconds) {
   CDSFLOW_EXPECT(!drained_, "tenant session already drained");
   drained_ = true;
-  const runtime::StreamReport report = runtime_.finish();
-  // The collector kept every batch (poll_batches only copies), so the
-  // merged report re-derives the full ordered stream; everything past what
-  // has been sliced into responses is still owed to pending requests.
-  CDSFLOW_ASSERT(report.run.results.size() >= consumed_events_,
-                 "drained stream shorter than consumed prefix");
-  buffered_results_.assign(
-      report.run.results.begin() +
-          static_cast<std::ptrdiff_t>(consumed_events_),
-      report.run.results.end());
-  if (risk()) {
-    buffered_greeks_.assign(
-        report.run.sensitivities.begin() +
-            static_cast<std::ptrdiff_t>(consumed_events_),
-        report.run.sensitivities.end());
-  }
+  // finish() holds exactly the rows poll() never took.
+  buffer(runtime_.finish().run);
   auto done = complete_ready(now_seconds);
   CDSFLOW_ASSERT(pending_.empty(),
                  "drained session left requests without results");

@@ -6,14 +6,15 @@
 ///
 /// The bit-identity contract rides on StreamRuntime's determinism
 /// guarantee: a tenant's admitted events (options and hazard quotes) are
-/// pushed into its runtime in frame order, the runtime merges micro-batch
-/// results back into exactly that event order (stream_runtime.hpp), and the
-/// session completes requests by counting options -- the first pending
-/// request owns the first n_options results of the stream, the next request
-/// the following ones, and so on. No result is ever recomputed, copied
-/// through a lossy format, or reordered, so a response's spreads are
-/// bit-identical to pricing the same event sequence on a StreamRuntime
-/// directly (tests/test_service.cpp drives both sides and compares bits).
+/// pushed into its runtime in frame order, the runtime hands each
+/// micro-batch's rows out once, in exactly that event order, to poll() or,
+/// if never polled, to drain() (stream_runtime.hpp), and the session
+/// completes requests by counting options -- the first pending request owns
+/// the first n_options results of the stream, the next request the
+/// following ones, and so on. No result is ever recomputed, copied through
+/// a lossy format, or reordered, so a response's spreads are bit-identical
+/// to pricing the same event sequence on a StreamRuntime directly
+/// (tests/test_service.cpp drives both sides and compares bits).
 ///
 /// All methods run on the service's event-loop thread; the runtime's own
 /// API is the only cross-thread surface.
@@ -110,8 +111,10 @@ class TenantSession {
     double arrival_seconds = 0.0;
   };
 
-  /// Completes pending requests out of buffered_* (in order) while full
-  /// spans are available.
+  /// Appends rows the runtime handed out to unsent_*.
+  void buffer(const engine::PricingRun& rows);
+  /// Completes pending requests off the front of unsent_* (in order) while
+  /// full spans are available.
   std::vector<Completed> complete_ready(double now_seconds);
 
   TenantSpec spec_;
@@ -120,14 +123,11 @@ class TenantSession {
   AdmissionController admission_;
 
   std::deque<Pending> pending_;
-  /// Runtime results harvested but not yet assigned to a request, in event
-  /// order (the stream between the last completed request and the newest
-  /// polled batch).
-  std::vector<cds::SpreadResult> buffered_results_;
-  std::vector<cds::Sensitivities> buffered_greeks_;
-  /// Option events already sliced into completed requests (offset of
-  /// buffered_results_[0] within the runtime's full result stream).
-  std::size_t consumed_events_ = 0;
+  /// Rows harvested but not yet sliced into a response, in event order
+  /// (the stream between the last completed request and the newest polled
+  /// batch). Deques: slicing a response off the front moves nothing else.
+  std::deque<cds::SpreadResult> unsent_results_;
+  std::deque<cds::Sensitivities> unsent_greeks_;
   std::vector<double> latency_us_;
   bool drained_ = false;
 };

@@ -4,11 +4,14 @@
 /// responses must be bit-identical to driving the same event sequences
 /// through StreamRuntime directly -- independent of connection arrival
 /// order. Plus the reject taxonomy (unknown tenant, wrong mode, semantic
-/// malformation, overload shed, poisoned stream) over a real socket.
+/// malformation, overload shed, poisoned stream) over a real socket, and
+/// the same bit-identity for sessions polled part-way and then drained,
+/// without a socket.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -176,6 +179,22 @@ void expect_bit_identical(const std::vector<cds::SpreadResult>& service_side,
   }
 }
 
+void expect_greeks_bit_identical(
+    const std::vector<cds::Sensitivities>& service_side,
+    const std::vector<cds::Sensitivities>& direct_side) {
+  ASSERT_EQ(service_side.size(), direct_side.size());
+  for (std::size_t i = 0; i < service_side.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(service_side[i].cs01),
+              std::bit_cast<std::uint64_t>(direct_side[i].cs01));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(service_side[i].ir01),
+              std::bit_cast<std::uint64_t>(direct_side[i].ir01));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(service_side[i].rec01),
+              std::bit_cast<std::uint64_t>(direct_side[i].rec01));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(service_side[i].jtd),
+              std::bit_cast<std::uint64_t>(direct_side[i].jtd));
+  }
+}
+
 SlicedFeed tenant_feed(std::uint32_t tenant, std::size_t events) {
   workload::QuoteFeedSpec spec;
   spec.events = events;
@@ -259,17 +278,7 @@ TEST(ServiceLoopback, RiskTenantResponsesBitIdenticalToDirectRuntime) {
 
   const auto direct = replay_direct(sliced, small_stream("cpu-batch-risk"));
   expect_bit_identical(outcome.results, direct.run.results);
-  ASSERT_EQ(outcome.greeks.size(), direct.run.sensitivities.size());
-  for (std::size_t i = 0; i < outcome.greeks.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(outcome.greeks[i].cs01),
-              std::bit_cast<std::uint64_t>(direct.run.sensitivities[i].cs01));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(outcome.greeks[i].ir01),
-              std::bit_cast<std::uint64_t>(direct.run.sensitivities[i].ir01));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(outcome.greeks[i].rec01),
-              std::bit_cast<std::uint64_t>(direct.run.sensitivities[i].rec01));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(outcome.greeks[i].jtd),
-              std::bit_cast<std::uint64_t>(direct.run.sensitivities[i].jtd));
-  }
+  expect_greeks_bit_identical(outcome.greeks, direct.run.sensitivities);
 }
 
 TEST(ServiceLoopback, RejectTaxonomyIsMachineReadable) {
@@ -401,6 +410,89 @@ TEST(ServiceLoopback, PoisonedStreamGetsRejectThenDisconnect) {
   }
   loop.join();
   EXPECT_EQ(pricing.stats().connections_poisoned, 1u);
+}
+
+// --- drain ------------------------------------------------------------------
+
+TEST(ServiceDrain, PolledThenDrainedResponsesMatchTheDirectRuntime) {
+  // No sockets: a price tenant and a risk tenant are driven on this thread,
+  // polled part-way, then drained with requests still pending. Each
+  // tenant's poll and drain responses, joined in order, must match the
+  // direct runtime bit for bit -- no row is lost or answered twice between
+  // what poll() harvested and what the drain's finish() still held.
+  auto risk = tenant_spec(2, "cpu-batch-risk");
+  risk.stream.ladder_edges = {0.0, 1.0, 3.0, 5.0, 7.0, 10.0, 30.0};
+  service::ServiceConfig config;
+  config.tenants = {tenant_spec(1, "cpu-batch"), risk};
+  service::PricingService pricing(config, test_interest(), test_hazard());
+
+  constexpr std::size_t kTenants = 2;
+  const SlicedFeed feeds[kTenants] = {tenant_feed(1, 240),
+                                      tenant_feed(2, 240)};
+  ReplayOutcome outcomes[kTenants];
+  std::uint32_t next_request[kTenants] = {1, 1};
+  std::size_t answered[kTenants] = {0, 0};
+  // Each tenant submits on connection id = its index.
+  const auto take = [&](std::vector<service::TenantSession::Completed> done) {
+    for (const auto& completed : done) {
+      const auto t = static_cast<std::size_t>(completed.conn);
+      EXPECT_EQ(completed.request, next_request[t]++)
+          << "responses out of request order";
+      outcomes[t].results.insert(outcomes[t].results.end(),
+                                 completed.results.begin(),
+                                 completed.results.end());
+      outcomes[t].greeks.insert(outcomes[t].greeks.end(),
+                                completed.greeks.begin(),
+                                completed.greeks.end());
+      ++answered[t];
+    }
+  };
+  const auto submit = [&](std::size_t t, std::size_t first, std::size_t end) {
+    service::TenantSession& session = *pricing.session(t + 1);
+    for (std::size_t s = first; s < end; ++s) {
+      const auto& step = feeds[t].steps[s];
+      if (step.quote) {
+        EXPECT_TRUE(session.push_quote(step.knot, step.rate, nullptr));
+        continue;
+      }
+      const auto& request = feeds[t].requests[step.request_index];
+      EXPECT_EQ(session.submit(static_cast<int>(t), request.id,
+                               request.options, pricing.now_seconds()),
+                service::AdmissionDecision::kAdmit);
+    }
+  };
+
+  // The first half of each feed, polled until both tenants have answered.
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    submit(t, 0, feeds[t].steps.size() / 2);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (answered[0] == 0 || answered[1] == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "poll never answered a request";
+    for (std::size_t t = 0; t < kTenants; ++t) {
+      take(pricing.session(t + 1)->poll(pricing.now_seconds()));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The rest, drained at once: what was just submitted is never polled.
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    submit(t, feeds[t].steps.size() / 2, feeds[t].steps.size());
+    EXPECT_GT(pricing.session(t + 1)->pending_requests(), 0u);
+  }
+  take(pricing.drain_all());
+
+  for (std::size_t t = 0; t < kTenants; ++t) {
+    SCOPED_TRACE(config.tenants[t].stream.engine);
+    EXPECT_EQ(pricing.session(t + 1)->pending_requests(), 0u);
+    EXPECT_EQ(next_request[t], feeds[t].requests.size() + 1);
+    const auto direct = replay_direct(feeds[t], config.tenants[t].stream);
+    expect_bit_identical(outcomes[t].results, direct.run.results);
+    expect_greeks_bit_identical(outcomes[t].greeks,
+                                direct.run.sensitivities);
+  }
+  EXPECT_FALSE(outcomes[1].greeks.empty());
 }
 
 // --- admission-fit calibration -----------------------------------------------

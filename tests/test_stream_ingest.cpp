@@ -7,14 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "cds/batch_pricer.hpp"
 #include "cds/stream_pricer.hpp"
 #include "common/error.hpp"
+#include "common/stats.hpp"
 #include "engines/registry.hpp"
 #include "runtime/ingest_queue.hpp"
 #include "runtime/stream_runtime.hpp"
@@ -218,35 +223,61 @@ runtime::stream_detail::BatchResult batch_result(std::size_t index,
   runtime::stream_detail::BatchResult result;
   result.index = index;
   for (std::size_t i = 0; i < n; ++i) {
-    result.results.push_back(
+    result.rows.results.push_back(
         {first_id + static_cast<std::int32_t>(i), 100.0});
   }
   return result;
 }
 
+std::vector<std::int32_t> ids_of(
+    const std::vector<runtime::stream_detail::BatchResult>& batches) {
+  std::vector<std::int32_t> ids;
+  for (const auto& batch : batches) {
+    for (const auto& r : batch.rows.results) ids.push_back(r.id);
+  }
+  return ids;
+}
+
 TEST(BatchCollector, MergesOutOfOrderCompletionsInBatchOrder) {
   runtime::stream_detail::BatchCollector collector;
-  // Completion order 2, 0, 3, 1 -- the merge must not care.
+  // Completion order 2, 0, 3, 1 -- the merge must not care. Each read hands
+  // out only the run up to the first gap, and each batch exactly once.
   collector.put(batch_result(2, 20, 2));
+  EXPECT_TRUE(collector.take_ready().empty());
   collector.put(batch_result(0, 0, 3));
+  EXPECT_EQ(ids_of(collector.take_ready()),
+            (std::vector<std::int32_t>{0, 1, 2}));
   collector.put(batch_result(3, 30, 1));
   collector.put(batch_result(1, 10, 2));
-  EXPECT_EQ(collector.count(), 4u);
 
-  const auto merged = collector.take();
-  ASSERT_EQ(merged.size(), 4u);
-  std::vector<std::int32_t> ids;
-  for (const auto& batch : merged) {
-    for (const auto& r : batch.results) ids.push_back(r.id);
-  }
-  EXPECT_EQ(ids, (std::vector<std::int32_t>{0, 1, 2, 10, 11, 20, 21, 30}));
+  const auto merged = collector.take_ready(4);
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(merged.front().index, 1u);
+  EXPECT_EQ(ids_of(merged), (std::vector<std::int32_t>{10, 11, 20, 21, 30}));
+  EXPECT_TRUE(collector.take_ready().empty());
 }
 
 TEST(BatchCollector, DetectsLostBatch) {
   runtime::stream_detail::BatchCollector collector;
   collector.put(batch_result(0, 0, 1));
   collector.put(batch_result(2, 20, 1));  // index 1 never arrives
-  EXPECT_THROW(collector.take(), Error);
+  EXPECT_EQ(collector.take_ready().size(), 1u);
+  EXPECT_THROW(collector.take_ready(3), Error);
+
+  // The last batch lost: nothing is left behind a gap, but the run ends
+  // short of the submitted count.
+  runtime::stream_detail::BatchCollector tail;
+  tail.put(batch_result(0, 0, 1));
+  EXPECT_THROW(tail.take_ready(2), Error);
+}
+
+TEST(BatchCollector, RejectsARepeatedIndex) {
+  runtime::stream_detail::BatchCollector collector;
+  collector.put(batch_result(0, 0, 1));
+  collector.put(batch_result(1, 10, 1));
+  EXPECT_THROW(collector.put(batch_result(1, 10, 1)), Error);  // stored
+  EXPECT_EQ(collector.take_ready().size(), 2u);
+  EXPECT_THROW(collector.put(batch_result(0, 0, 1)), Error);  // taken
 }
 
 // --- stream runtime end to end ----------------------------------------------
@@ -548,6 +579,8 @@ TEST(StreamRuntime, PollBatchesHarvestsEachBatchExactlyOnceInOrder) {
   // batches not seen before, and the stitched stream is the contiguous
   // batch sequence 0..n-1.
   std::vector<cds::SpreadResult> polled;
+  std::vector<double> latencies;
+  double pricing_seconds = 0.0;
   std::size_t next_index = 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -557,7 +590,11 @@ TEST(StreamRuntime, PollBatchesHarvestsEachBatchExactlyOnceInOrder) {
     for (const auto& batch : rt.poll_batches()) {
       EXPECT_EQ(batch.index, next_index) << "batch replayed or skipped";
       ++next_index;
-      polled.insert(polled.end(), batch.results.begin(), batch.results.end());
+      polled.insert(polled.end(), batch.rows.results.begin(),
+                    batch.rows.results.end());
+      latencies.insert(latencies.end(), batch.latency_seconds.begin(),
+                       batch.latency_seconds.end());
+      pricing_seconds += batch.pricing_seconds;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -565,16 +602,128 @@ TEST(StreamRuntime, PollBatchesHarvestsEachBatchExactlyOnceInOrder) {
   EXPECT_GE(next_index, kOptions / cfg.max_batch);
   // Fully harvested: an extra poll is empty, not a replay from index 0.
   EXPECT_TRUE(rt.poll_batches().empty());
-
-  // finish() still observes the complete run -- polling copies, it does not
-  // consume the collector.
-  const auto report = rt.finish();
-  ASSERT_EQ(report.run.results.size(), kOptions);
   ASSERT_EQ(polled.size(), kOptions);
   for (std::size_t i = 0; i < kOptions; ++i) {
-    EXPECT_EQ(polled[i].id, report.run.results[i].id) << "at " << i;
-    EXPECT_EQ(polled[i].spread_bps, report.run.results[i].spread_bps)
+    EXPECT_EQ(polled[i].id, static_cast<std::int32_t>(i)) << "at " << i;
+  }
+
+  // Every row left through poll_batches(), so finish() returns none; its
+  // accounting still counts every batch and event.
+  const auto report = rt.finish();
+  EXPECT_TRUE(report.run.results.empty());
+  EXPECT_EQ(report.events_priced, kOptions);
+  ASSERT_EQ(report.batches.size(), next_index);
+  for (std::size_t b = 0; b < next_index; ++b) {
+    EXPECT_EQ(report.batches[b].index, b);
+  }
+  EXPECT_EQ(report.run.invocations, next_index);
+  EXPECT_EQ(report.run.kernel_seconds, pricing_seconds);
+  EXPECT_EQ(report.max_latency_seconds,
+            *std::max_element(latencies.begin(), latencies.end()));
+  EXPECT_EQ(report.p50_latency_seconds, percentile(latencies, 50.0));
+  EXPECT_EQ(report.p99_latency_seconds, percentile(latencies, 99.0));
+}
+
+void append_rows(const engine::PricingRun& part, engine::PricingRun& all) {
+  all.results.insert(all.results.end(), part.results.begin(),
+                     part.results.end());
+  all.sensitivities.insert(all.sensitivities.end(),
+                           part.sensitivities.begin(),
+                           part.sensitivities.end());
+  all.cs01_ladder.insert(all.cs01_ladder.end(), part.cs01_ladder.begin(),
+                         part.cs01_ladder.end());
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_rows(const engine::PricingRun& got,
+                      const engine::PricingRun& want) {
+  ASSERT_EQ(got.results.size(), want.results.size());
+  for (std::size_t i = 0; i < want.results.size(); ++i) {
+    EXPECT_EQ(got.results[i].id, want.results[i].id) << "at " << i;
+    EXPECT_EQ(bits(got.results[i].spread_bps),
+              bits(want.results[i].spread_bps))
         << "at " << i;
+  }
+  ASSERT_EQ(got.sensitivities.size(), want.sensitivities.size());
+  for (std::size_t i = 0; i < want.sensitivities.size(); ++i) {
+    const auto& g = got.sensitivities[i];
+    const auto& w = want.sensitivities[i];
+    EXPECT_EQ(bits(g.spread_bps), bits(w.spread_bps)) << "at " << i;
+    EXPECT_EQ(bits(g.cs01), bits(w.cs01)) << "at " << i;
+    EXPECT_EQ(bits(g.ir01), bits(w.ir01)) << "at " << i;
+    EXPECT_EQ(bits(g.rec01), bits(w.rec01)) << "at " << i;
+    EXPECT_EQ(bits(g.jtd), bits(w.jtd)) << "at " << i;
+  }
+  ASSERT_EQ(got.cs01_ladder.size(), want.cs01_ladder.size());
+  for (std::size_t i = 0; i < want.cs01_ladder.size(); ++i) {
+    EXPECT_EQ(bits(got.cs01_ladder[i]), bits(want.cs01_ladder[i]))
+        << "at " << i;
+  }
+}
+
+TEST(StreamRuntime, PolledRowsThenFinishRowsEqualANeverPolledRun) {
+  // Each batch leaves the runtime once: after a partial harvest, the polled
+  // rows followed by finish()'s rows are a never-polled run's rows bit for
+  // bit, in price mode and in risk mode with ladder rows, at any lane count
+  // and across hazard updates.
+  const auto interest = test_interest();
+  const auto hazard = test_hazard();
+  const auto feed =
+      workload::make_quote_feed(small_feed_spec(160, 12), hazard);
+  const auto push = [](runtime::StreamRuntime& rt,
+                       const workload::QuoteFeedEvent& event) {
+    if (event.kind == workload::QuoteFeedEvent::Kind::kHazardQuote) {
+      return rt.push_hazard_quote(event.knot, event.rate);
+    }
+    return rt.push(event.option);
+  };
+  for (const std::string engine : {"cpu-batch", "cpu-batch-risk"}) {
+    for (const unsigned lanes : {1u, 3u}) {
+      SCOPED_TRACE(engine + " on " + std::to_string(lanes) + " lanes");
+      runtime::StreamConfig cfg;
+      cfg.engine = engine;
+      cfg.lanes = lanes;
+      cfg.max_batch = 8;
+      cfg.max_wait_us = 50;
+      if (engine == "cpu-batch-risk") {
+        cfg.ladder_edges = {0.0, 1.0, 3.0, 5.0, 7.0, 10.0, 30.0};
+      }
+      runtime::StreamRuntime never_polled(interest, hazard, cfg);
+      const auto want = never_polled.play(feed);
+
+      // Harvest at least one batch of the first half, then push the rest
+      // and finish without polling again, so both sides hold rows.
+      runtime::StreamRuntime rt(interest, hazard, cfg);
+      const std::size_t half = feed.size() / 2;
+      for (std::size_t i = 0; i < half; ++i) ASSERT_TRUE(push(rt, feed[i]));
+      engine::PricingRun got;
+      std::size_t polled_batches = 0;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (polled_batches == 0) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+        for (const auto& batch : rt.poll_batches()) {
+          append_rows(batch.rows, got);
+          got.ladder_buckets = batch.rows.ladder_buckets;
+          ++polled_batches;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      for (std::size_t i = half; i < feed.size(); ++i) {
+        ASSERT_TRUE(push(rt, feed[i]));
+      }
+      const auto report = rt.finish();
+      EXPECT_FALSE(report.run.results.empty());
+      EXPECT_EQ(report.run.ladder_buckets, want.run.ladder_buckets);
+      append_rows(report.run, got);
+
+      EXPECT_EQ(got.ladder_buckets, want.run.ladder_buckets);
+      expect_same_rows(got, want.run);
+      EXPECT_EQ(report.events_priced, want.events_priced);
+      EXPECT_EQ(report.hazard_updates, want.hazard_updates);
+      EXPECT_GT(report.batches.size(), polled_batches);
+    }
   }
 }
 
