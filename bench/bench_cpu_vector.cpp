@@ -3,14 +3,14 @@
 /// kernel (cds/vector_kernel.hpp) against the scalar batch kernel it
 /// dispatches away from, reported as JSON for the cross-PR perf trajectory.
 ///
-/// Both kernels share the dedup + grid arena, so the delta isolates what the
-/// lanes buy: the tabulation exp/search math W points at a time and the
-/// branch-free combine W options at a time. The same two book styles as
-/// bench_batch_pricer bracket the mix:
-///   - "continuous": ~no schedule reuse, cost is tabulation-dominated --
-///     this is where the lanes bite, and the headline
-///     `single_thread_speedup` (acceptance bar: >= 2x on a SIMD host) is
-///     measured on this book;
+/// Both kernels share the dedup and the payment ladders, so the delta
+/// isolates what the lanes buy: the tabulation exp/search math W points at
+/// a time and the branch-free combine W options at a time. The same two
+/// book styles as bench_batch_pricer bracket the mix:
+///   - "continuous": ~no schedule reuse, one stub tabulated per grid, cost
+///     is tabulation-dominated -- this is where the lanes bite, and the
+///     headline `single_thread_speedup` (acceptance bar: >= 2x on a SIMD
+///     host) is measured on this book;
 ///   - "standard-tenor": 5 grids for the whole book, cost is
 ///     combine-dominated.
 /// A risk section repeats the comparison for the batched Greeks pass, and

@@ -13,22 +13,6 @@ namespace cdsflow::cds {
 
 namespace detail {
 
-LegSums reduce_leg_sums(std::span<const TimePoint> points,
-                        std::span<const double> discount,
-                        std::span<const double> survival) {
-  LegSums sums;
-  double q_prev = 1.0;  // Q(0)
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const LegTerms terms =
-        leg_terms_from_discount(discount[i], q_prev, survival[i], points[i].dt);
-    sums.premium += terms.premium;
-    sums.accrual += terms.accrual;
-    sums.payoff += terms.payoff;
-    q_prev = survival[i];
-  }
-  return sums;
-}
-
 GridSums checked_grid_sums(const LegSums& sums) {
   const double annuity = sums.premium + sums.accrual;
   CDSFLOW_EXPECT(annuity > 0.0,
@@ -36,87 +20,123 @@ GridSums checked_grid_sums(const LegSums& sums) {
   return {annuity, sums.payoff};
 }
 
-GridSums finish_grid(std::span<const TimePoint> points,
-                     std::span<const double> discount,
-                     std::span<const double> survival,
-                     std::span<double> default_mass) {
+void scan_leg_sums(std::span<const TimePoint> points,
+                   std::span<const double> discount,
+                   std::span<const double> survival, std::size_t from,
+                   std::span<LegSums> sums) {
   CDSFLOW_ASSERT(discount.size() == points.size() &&
                      survival.size() == points.size() &&
-                     default_mass.size() == points.size(),
-                 "grid column spans must match the schedule length");
-  LegSums sums;
-  double q_prev = 1.0;  // Q(0)
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const double q = survival[i];
-    default_mass[i] = q_prev - q;
+                     sums.size() == points.size() && from <= points.size(),
+                 "ladder column spans must match the ladder length");
+  LegSums acc = from == 0 ? LegSums{} : sums[from - 1];
+  double q_prev = from == 0 ? 1.0 : survival[from - 1];  // Q(0) = 1
+  for (std::size_t i = from; i < points.size(); ++i) {
     const LegTerms terms =
-        leg_terms_from_discount(discount[i], q_prev, q, points[i].dt);
-    sums.premium += terms.premium;
-    sums.accrual += terms.accrual;
-    sums.payoff += terms.payoff;
-    q_prev = q;
+        leg_terms_from_discount(discount[i], q_prev, survival[i], points[i].dt);
+    acc.premium += terms.premium;
+    acc.accrual += terms.accrual;
+    acc.payoff += terms.payoff;
+    sums[i] = acc;
+    q_prev = survival[i];
   }
-  return checked_grid_sums(sums);
+}
+
+GridSums stub_grid_sums(std::span<const LegSums> sums,
+                        std::span<const double> survival, std::size_t prefix,
+                        const TimePoint& stub, double stub_discount,
+                        double stub_survival) {
+  LegSums acc = prefix == 0 ? LegSums{} : sums[prefix - 1];
+  const double q_prev = prefix == 0 ? 1.0 : survival[prefix - 1];
+  const LegTerms terms =
+      leg_terms_from_discount(stub_discount, q_prev, stub_survival, stub.dt);
+  acc.premium += terms.premium;
+  acc.accrual += terms.accrual;
+  acc.payoff += terms.payoff;
+  return checked_grid_sums(acc);
 }
 
 void build_scenario_block(std::span<const double> knot_times,
                           const BatchPricer::Workspace& ws, std::size_t first,
                           std::size_t last, ScenarioBlock& block) {
-  CDSFLOW_ASSERT(first < last && last <= ws.grid_offset.size(),
+  CDSFLOW_ASSERT(first < last && last <= ws.tabulated_grids(),
                  "a scenario block needs a non-empty range of built grids");
-  const std::size_t n_knots = knot_times.size();
   block.first_grid = first;
   block.last_grid = last;
-  block.first_point = ws.grid_offset[first];
+  block.points.clear();
+  block.discount.clear();
+  block.survival.clear();
+  block.ladder_begin.clear();
+  const auto append = [&](auto points, auto discount, auto survival) {
+    block.points.insert(block.points.end(), points.begin(), points.end());
+    block.discount.insert(block.discount.end(), discount.begin(),
+                          discount.end());
+    block.survival.insert(block.survival.end(), survival.begin(),
+                          survival.end());
+  };
+  for (const BatchPricer::Ladder& ladder : ws.ladders) {
+    block.ladder_begin.push_back(block.points.size());
+    append(std::span(ladder.points).first(ladder.sums.size()),
+           std::span(ladder.discount), std::span(ladder.survival));
+  }
+  block.ladder_begin.push_back(block.points.size());
+  const std::size_t n_grids = last - first;
+  append(std::span(ws.stub).subspan(first, n_grids),
+         std::span(ws.stub_discount).subspan(first, n_grids),
+         std::span(ws.stub_survival).subspan(first, n_grids));
+  block.prefix_row.resize(n_grids);
+  for (std::size_t g = first; g < last; ++g) {
+    const std::size_t prefix = ws.grid_prefix[g];
+    block.prefix_row[g - first] =
+        prefix == 0 ? -1
+                    : static_cast<std::int64_t>(
+                          block.ladder_begin[ws.grid_ladder[g]] + prefix - 1);
+  }
+
+  const std::size_t n_knots = knot_times.size();
   block.knot_dt.resize(n_knots);  // tau_0 - 0.0 is tau_0, bit for bit
   std::adjacent_difference(knot_times.begin(), knot_times.end(),
                            block.knot_dt.begin());
-  const std::size_t n_points = ws.grid_end(last - 1) - block.first_point;
+  const std::size_t n_points = block.points.size();
+  block.accrual_dt.resize(n_points);
   block.point_dt.resize(n_points);
   block.base_row.resize(n_points);
   block.rate_row.resize(n_points);
-  block.accrual_dt.resize(n_points);
   std::size_t max_row = 0;
-  for (std::size_t g = first; g < last; ++g) {
-    const std::size_t begin = ws.grid_offset[g];
-    std::size_t j = static_cast<std::size_t>(
-        std::lower_bound(knot_times.begin(), knot_times.end(),
-                         ws.points[begin].t) -
+  for (std::size_t i = 0; i < n_points; ++i) {
+    const double t = block.points[i].t;
+    const auto j = static_cast<std::size_t>(
+        std::lower_bound(knot_times.begin(), knot_times.end(), t) -
         knot_times.begin());
-    for (std::size_t i = begin; i < ws.grid_end(g); ++i) {
-      const double t = ws.points[i].t;
-      while (j < n_knots && knot_times[j] < t) ++j;
-      const std::size_t k = i - block.first_point;
-      block.base_row[k] = static_cast<std::int64_t>(j);
-      block.rate_row[k] = static_cast<std::int64_t>(std::min(j, n_knots - 1));
-      block.point_dt[k] = t - (j == 0 ? 0.0 : knot_times[j - 1]);
-      block.accrual_dt[k] = ws.points[i].dt;
-    }
+    block.base_row[i] = static_cast<std::int64_t>(j);
+    block.rate_row[i] = static_cast<std::int64_t>(std::min(j, n_knots - 1));
+    block.point_dt[i] = t - (j == 0 ? 0.0 : knot_times[j - 1]);
+    block.accrual_dt[i] = block.points[i].dt;
     max_row = std::max(max_row, j);
   }
   block.active_knots = std::min(n_knots, max_row + 1);
 }
 
-void hazard_scenario_sums(std::span<const double> rows,
-                          const BatchPricer::Workspace& ws,
-                          ScenarioBlock& block, simd::Level level,
-                          const ScenarioSumsSink& sink) {
+void hazard_scenario_sums(std::span<const double> rows, ScenarioBlock& block,
+                          simd::Level level, const ScenarioSumsSink& sink) {
   const std::size_t w = simd::lanes(simd::resolve_level(level));
   const std::size_t n_knots = block.knot_dt.size();
   const std::size_t nk = block.active_knots;
   const std::size_t n_rows = rows.size() / n_knots;
-  const std::size_t n_points = block.point_dt.size();
+  const std::size_t n_points = block.points.size();
+  const std::size_t n_ladder = block.stub_begin();
   const std::size_t n_grids = block.last_grid - block.first_grid;
   block.rates_T.resize(nk * w);
   block.lambda_T.resize((nk + 1) * w);
   block.q_T.resize(n_points * w);
+  block.sums_T.resize(n_ladder * 3 * w);
   block.annuity_T.resize(n_grids * w);
   block.payoff_T.resize(n_grids * w);
   block.annuity.resize(n_grids);
   block.payoff.resize(n_grids);
-  const auto discount =
-      std::span<const double>(ws.discount).subspan(block.first_point, n_points);
+  const auto dts = std::span<const double>(block.accrual_dt);
+  const auto discount = std::span<const double>(block.discount);
   const auto q_T = std::span<const double>(block.q_T);
+  const auto sums_T = std::span<double>(block.sums_T);
   for (std::size_t s0 = 0; s0 < n_rows; s0 += w) {
     const std::size_t in_group = std::min(w, n_rows - s0);
     for (std::size_t j = 0; j < nk; ++j) {
@@ -129,19 +149,21 @@ void hazard_scenario_sums(std::span<const double> rows,
         block.rates_T, std::span<const double>(block.knot_dt).first(nk),
         block.lambda_T, block.point_dt, block.base_row, block.rate_row,
         block.q_T, level);
-    // Leg sums grid by grid, scenarios abreast: the survival rows never
-    // leave their transposed layout.
-    for (std::size_t g = 0; g < n_grids; ++g) {
-      const std::size_t grid = block.first_grid + g;
-      const std::size_t begin = ws.grid_offset[grid] - block.first_point;
-      const std::size_t n = ws.grid_end(grid) - ws.grid_offset[grid];
-      simd::sweep_leg_sums_group(
-          std::span<const double>(block.accrual_dt).subspan(begin, n),
-          discount.subspan(begin, n),
-          q_T.subspan(begin * w, n * w),
-          std::span<double>(block.annuity_T).subspan(g * w, w),
-          std::span<double>(block.payoff_T).subspan(g * w, w), level);
+    // Running sums ladder by ladder, then one step per grid, scenarios
+    // abreast: the survival rows never leave their transposed layout.
+    for (std::size_t l = 0; l + 1 < block.ladder_begin.size(); ++l) {
+      const std::size_t begin = block.ladder_begin[l];
+      const std::size_t n = block.ladder_begin[l + 1] - begin;
+      simd::sweep_ladder_sums_group(dts.subspan(begin, n),
+                                    discount.subspan(begin, n),
+                                    q_T.subspan(begin * w, n * w),
+                                    sums_T.subspan(begin * 3 * w, n * 3 * w),
+                                    level);
     }
+    simd::sweep_stub_sums_group(
+        block.prefix_row, q_T.first(n_ladder * w), sums_T,
+        dts.subspan(n_ladder), discount.subspan(n_ladder),
+        q_T.subspan(n_ladder * w), block.annuity_T, block.payoff_T, level);
     for (std::size_t lane = 0; lane < in_group; ++lane) {
       for (std::size_t g = 0; g < n_grids; ++g) {
         // checked_grid_sums' positivity diagnostic per lane (its annuity
@@ -157,41 +179,47 @@ void hazard_scenario_sums(std::span<const double> rows,
 }
 
 void rate_scenario_sums(const TermStructure& interest,
+                        const simd::SearchTable& search,
                         std::span<const double> survival,
-                        const BatchPricer::Workspace& ws, ScenarioBlock& block,
-                        simd::Level level) {
-  const std::size_t n_points = block.point_dt.size();
+                        ScenarioBlock& block, simd::Level level) {
+  const std::size_t n_ladder = block.stub_begin();
   const std::size_t n_grids = block.last_grid - block.first_grid;
-  block.discount.resize(n_points);
+  block.scenario_discount.resize(block.points.size());
+  block.ladder_sums.resize(n_ladder);
   block.annuity.resize(n_grids);
   block.payoff.resize(n_grids);
-  const auto points =
-      std::span<const TimePoint>(ws.points).subspan(block.first_point, n_points);
-  simd::discount_column(interest, ws.search.interest, points, block.discount,
+  const auto points = std::span<const TimePoint>(block.points);
+  const auto discount = std::span<const double>(block.scenario_discount);
+  const auto sums = std::span<LegSums>(block.ladder_sums);
+  simd::discount_column(interest, search, points, block.scenario_discount,
                         level);
-  const auto discount = std::span<const double>(block.discount);
+  for (std::size_t l = 0; l + 1 < block.ladder_begin.size(); ++l) {
+    const std::size_t begin = block.ladder_begin[l];
+    const std::size_t n = block.ladder_begin[l + 1] - begin;
+    scan_leg_sums(points.subspan(begin, n), discount.subspan(begin, n),
+                  survival.subspan(begin, n), 0, sums.subspan(begin, n));
+  }
   for (std::size_t g = 0; g < n_grids; ++g) {
-    const std::size_t grid = block.first_grid + g;
-    const std::size_t begin = ws.grid_offset[grid];
-    const std::size_t n = ws.grid_end(grid) - begin;
-    const std::size_t local = begin - block.first_point;
-    const GridSums sums = checked_grid_sums(reduce_leg_sums(
-        points.subspan(local, n), discount.subspan(local, n),
-        survival.subspan(begin, n)));
-    block.annuity[g] = sums.annuity;
-    block.payoff[g] = sums.payoff;
+    // A prefix row indexes the block's ladder rows, so the sums and
+    // survival before it are the block's own (prefix = row + 1).
+    const std::int64_t row = block.prefix_row[g];
+    const std::size_t stub = n_ladder + g;
+    const GridSums grid = stub_grid_sums(
+        sums, survival.first(n_ladder), static_cast<std::size_t>(row + 1),
+        points[stub], discount[stub], survival[stub]);
+    block.annuity[g] = grid.annuity;
+    block.payoff[g] = grid.payoff;
   }
 }
 
 }  // namespace detail
 
-/// The risk pass runs its scenarios over blocks of whole grids of at most
-/// this many points (a longer grid is a block of its own). A block's
-/// scratch is ~104 B per point at AVX-512 -- 64 B of W-wide survival rows,
-/// 32 B of brackets, 8 B of discount column -- so it stays ~0.4 MB and in
-/// L2 whatever the book size. Over the whole arena it would grow with the
-/// book: ~9.6 MB for a 92k-point shard, in every risk workspace.
-constexpr std::size_t kRiskBlockPoints = 4096;
+/// The risk pass runs its scenarios over blocks of at most this many grids.
+/// A block holds every ladder plus one stub per grid, and its scratch is
+/// ~290 B per grid at AVX-512 -- 64 B of W-wide stub survival rows, 128 B
+/// of W-wide grid sums, ~100 B of brackets, points and columns -- so it
+/// stays ~1.2 MB plus the ladders whatever the book size.
+constexpr std::size_t kRiskBlockGrids = 4096;
 
 void BatchPricer::Workspace::clear() {
   grid_of.clear();
@@ -199,13 +227,32 @@ void BatchPricer::Workspace::clear() {
   grid_frequency.clear();
   grid_annuity.clear();
   grid_payoff.clear();
-  grid_offset.clear();
-  points.clear();
-  discount.clear();
-  survival.clear();
-  default_mass.clear();
+  grid_ladder.clear();
+  grid_prefix.clear();
+  stub.clear();
+  stub_discount.clear();
+  stub_survival.clear();
+  for (Ladder& ladder : ladders) {
+    ladder.frequency = 0.0;  // free for the next batch's first new frequency
+    ladder.points.clear();
+    ladder.discount.clear();
+    ladder.survival.clear();
+    ladder.sums.clear();
+  }
   dedup.clear();  // keeps the bucket array, so a warmed workspace stays
                   // allocation-free
+}
+
+std::size_t BatchPricer::Workspace::tabulated_points() const {
+  std::size_t points = stub.size();
+  for (const Ladder& ladder : ladders) points += ladder.sums.size();
+  return points;
+}
+
+detail::GridSums BatchPricer::Workspace::grid_sums(std::size_t g) const {
+  const Ladder& ladder = ladders[grid_ladder[g]];
+  return detail::stub_grid_sums(ladder.sums, ladder.survival, grid_prefix[g],
+                                stub[g], stub_discount[g], stub_survival[g]);
 }
 
 BatchPricer::BatchPricer(TermStructure interest, TermStructure hazard,
@@ -216,6 +263,27 @@ BatchPricer::BatchPricer(TermStructure interest, TermStructure hazard,
       kernel_level_(simd::resolve_level(kernel_level)) {
   interest_.validate();
 }
+
+namespace {
+
+/// The ladder of `frequency` in `ws`: the one with its exact bits, else a
+/// ladder clear() freed, else a new one.
+std::uint32_t ladder_for(BatchPricer::Workspace& ws, double frequency) {
+  std::size_t free = ws.ladders.size();
+  for (std::size_t l = 0; l < ws.ladders.size(); ++l) {
+    const double f = ws.ladders[l].frequency;
+    if (std::bit_cast<std::uint64_t>(f) ==
+        std::bit_cast<std::uint64_t>(frequency)) {
+      return static_cast<std::uint32_t>(l);
+    }
+    if (f == 0.0 && free == ws.ladders.size()) free = l;
+  }
+  if (free == ws.ladders.size()) ws.ladders.emplace_back();
+  ws.ladders[free].frequency = frequency;
+  return static_cast<std::uint32_t>(free);
+}
+
+}  // namespace
 
 BatchStats BatchPricer::build_grids(std::span<const CdsOption> options,
                                     Workspace& ws) const {
@@ -241,60 +309,70 @@ BatchStats BatchPricer::build_grids(std::span<const CdsOption> options,
     ws.grid_of.push_back(it->second);
   }
 
-  // Pass 2 -- every grid without an offset yet: materialise its schedule
-  // into the flat arena, tabulate the D/Q columns in one cds::simd sweep (a
-  // single lane tail for the batch instead of one per grid -- on a
-  // continuous-maturity book the grids are tiny and per-grid tails would eat
-  // most of the lane win), then per grid the default-mass column and the
-  // leg sums in the reference order. A call that threw in pass 1 leaves
-  // valid grids registered but untabulated; the next call picks them up.
-  const std::size_t first_new = ws.grid_offset.size();
+  // Pass 2 -- every grid not tabulated yet: its ladder grows to the grid's
+  // n - 1 points where it is shorter, and its stub is placed. Then each
+  // ladder's new points get their D/Q columns in one cds::simd call and
+  // their running sums, the new stubs their columns in one more call, and
+  // each new grid its sums: the ladder's after n - 1 points plus the
+  // stub's step. A call that threw in pass 1 leaves valid grids registered
+  // but untabulated; the next call picks them up.
+  const std::size_t first_new = ws.tabulated_grids();
   const std::size_t n_grids = ws.grid_maturity.size();
   if (n_grids > first_new) {
     // The knot-search tables: built on the workspace's first vector-level
     // tabulation, rebuilt only when this pricer's knot times differ from
-    // the ones they serve. Prepared before the arena is sized: tables
-    // allocated above a first-call arena pin the heap top, and the arena's
-    // later growth then strands its freed blocks in the heap.
+    // the ones they serve. Prepared before the columns are sized: tables
+    // allocated above first-call columns pin the heap top, and the
+    // columns' later growth then strands their freed blocks in the heap.
     ws.search.prepare(interest_, hazard_prefix_, kernel_level_);
-    // Per-grid arrays sized up front: growing them here while the arena
-    // grows strands freed arena blocks in the heap, and a grid that fails
-    // its annuity check leaves every per-grid array the same length.
-    ws.grid_offset.resize(n_grids);
+    // Per-grid arrays sized up front: a grid that fails its annuity check
+    // leaves every per-grid array the same length.
     ws.grid_annuity.resize(n_grids);
     ws.grid_payoff.resize(n_grids);
-    const std::size_t first_point = ws.points.size();
+    ws.grid_ladder.resize(n_grids);
+    ws.grid_prefix.resize(n_grids);
+    ws.stub.resize(n_grids);
+    ws.stub_discount.resize(n_grids);
+    ws.stub_survival.resize(n_grids);
     for (std::size_t g = first_new; g < n_grids; ++g) {
       CdsOption probe;  // schedule depends only on (maturity, frequency)
       probe.maturity_years = ws.grid_maturity[g];
       probe.payment_frequency = ws.grid_frequency[g];
-      ws.grid_offset[g] = ws.points.size();
-      make_schedule(probe, ws.points);
+      const std::size_t n = schedule_size(probe);
+      const std::uint32_t l = ladder_for(ws, probe.payment_frequency);
+      extend_ladder(probe.payment_frequency, n - 1, ws.ladders[l].points);
+      ws.grid_ladder[g] = l;
+      ws.grid_prefix[g] = n - 1;
+      ws.stub[g] = maturity_point(probe, n);
     }
-    const std::size_t arena = ws.points.size();
-    ws.discount.resize(arena);
-    ws.survival.resize(arena);
-    ws.default_mass.resize(arena);
-    const auto points = std::span<const TimePoint>(ws.points);
-    const auto discount = std::span<double>(ws.discount);
-    const auto survival = std::span<double>(ws.survival);
-    simd::tabulate_columns(interest_, hazard_prefix_, ws.search,
-                           points.subspan(first_point),
-                           discount.subspan(first_point),
-                           survival.subspan(first_point), kernel_level_);
+    for (Ladder& ladder : ws.ladders) {
+      const std::size_t from = ladder.sums.size();
+      const std::size_t n = ladder.points.size();
+      if (n == from) continue;
+      ladder.discount.resize(n);
+      ladder.survival.resize(n);
+      ladder.sums.resize(n);
+      simd::tabulate_columns(
+          interest_, hazard_prefix_, ws.search,
+          std::span<const TimePoint>(ladder.points).subspan(from),
+          std::span(ladder.discount).subspan(from),
+          std::span(ladder.survival).subspan(from), kernel_level_);
+      detail::scan_leg_sums(ladder.points, ladder.discount, ladder.survival,
+                            from, ladder.sums);
+    }
+    simd::tabulate_columns(
+        interest_, hazard_prefix_, ws.search,
+        std::span<const TimePoint>(ws.stub).subspan(first_new),
+        std::span(ws.stub_discount).subspan(first_new),
+        std::span(ws.stub_survival).subspan(first_new), kernel_level_);
     for (std::size_t g = first_new; g < n_grids; ++g) {
-      const std::size_t begin = ws.grid_offset[g];
-      const std::size_t n = ws.grid_end(g) - begin;
-      const detail::GridSums sums = detail::finish_grid(
-          points.subspan(begin, n), discount.subspan(begin, n),
-          survival.subspan(begin, n),
-          std::span<double>(ws.default_mass).subspan(begin, n));
+      const detail::GridSums sums = ws.grid_sums(g);
       ws.grid_annuity[g] = sums.annuity;
       ws.grid_payoff[g] = sums.payoff;
     }
   }
   stats.unique_schedules = n_grids;
-  stats.grid_points = ws.points.size();
+  stats.grid_points = ws.tabulated_points();
   return stats;
 }
 
@@ -312,7 +390,7 @@ BatchStats BatchPricer::price(std::span<const CdsOption> options,
   simd::combine_spreads(options, ws.grid_of, ws.grid_annuity, ws.grid_payoff,
                         out, kernel_level_);
   for (const std::uint32_t g : ws.grid_of) {
-    stats.scalar_points += ws.grid_end(g) - ws.grid_offset[g];
+    stats.scalar_points += ws.grid_prefix[g] + 1;
   }
   return stats;
 }
@@ -387,22 +465,16 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
     std::ranges::copy(annuity, ws.scenario_annuity.data() + at);
     std::ranges::copy(payoff, ws.scenario_payoff.data() + at);
   };
-  for (std::size_t first = 0; first < n_grids;) {
-    std::size_t last = first + 1;
-    while (last < n_grids &&
-           ws.base.grid_end(last) - ws.base.grid_offset[first] <=
-               kRiskBlockPoints) {
-      ++last;
-    }
+  for (std::size_t first = 0; first < n_grids; first += kRiskBlockGrids) {
+    const std::size_t last = std::min(n_grids, first + kRiskBlockGrids);
     detail::build_scenario_block(hazard_.times(), ws.base, first, last, block);
-    detail::hazard_scenario_sums(ws.hazard_rows, ws.base, block, kernel_level_,
+    detail::hazard_scenario_sums(ws.hazard_rows, block, kernel_level_,
                                  store_row);
     for (std::size_t k = 0; k < 2; ++k) {
-      detail::rate_scenario_sums(interest_bumps[k], ws.base.survival, ws.base,
-                                 block, kernel_level_);
+      detail::rate_scenario_sums(interest_bumps[k], ws.base.search.interest,
+                                 block.survival, block, kernel_level_);
       store_row(n_hazard + k, block.annuity, block.payoff);
     }
-    first = last;
   }
   stats.bumped_grid_points = (4 + 2 * n_buckets) * stats.base.grid_points;
 
@@ -450,7 +522,7 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
     for (std::size_t b = 0; b < n_buckets; ++b) {
       ladder_out[i * n_buckets + b] = central(2 + 2 * b, g, one_minus_r);
     }
-    scalar_points += ws.base.grid_end(g) - ws.base.grid_offset[g];
+    scalar_points += ws.base.grid_prefix[g] + 1;
   }
   stats.base.scalar_points = scalar_points;
   stats.scalar_repricings = options.size() * (7 + 2 * n_buckets);

@@ -11,14 +11,21 @@
 ///
 ///   1. *Schedule dedup.* Options sharing (maturity, frequency) share one
 ///      payment grid; a standard-tenor book of 16k options collapses to a
-///      handful of grids. Grids live in one flat arena (no per-option
-///      allocation).
-///   2. *Curve-grid precompute.* Once per (interest, hazard) pair and unique
-///      grid, the kernel tabulates the discount factor D(t_i), survival
-///      Q(t_i) and default mass dq_i on that grid -- hazard integration via
-///      O(log) prefix sums (integrated_hazard_prefix), interpolation via
-///      O(log) binary search (interpolate_fast) -- and reduces the three leg
-///      sums in the reference accumulation order.
+///      handful of grids.
+///   2. *One payment ladder per frequency.* Schedules run forward from zero
+///      (schedule.hpp: t_i = i / f, the last point is the maturity), so
+///      every grid at frequency f is the same ladder {1/f, 2/f, ...} cut
+///      after n - 1 points, plus one stub point at its maturity. Once per
+///      (interest, hazard) pair the kernel tabulates the discount factor
+///      D(t) and survival Q(t) at each ladder point and each stub only --
+///      hazard integration via O(log) prefix sums
+///      (integrated_hazard_prefix), interpolation via O(log) binary search
+///      (interpolate_fast) -- and keeps each ladder's running leg sums
+///      after every point. A grid's three leg sums are then the ladder's
+///      running sums after n - 1 points continued by the stub's terms: the
+///      reference walk's own operations in its own order, so no value
+///      moves. A continuous-maturity book tabulates about one point per
+///      grid instead of ~20.
 ///   3. *Per-option combine.* Pricing an option is then a branch-free
 ///      multiply-divide against its grid's reduced sums: no exp, no curve
 ///      scan, no allocation in the inner loop.
@@ -40,16 +47,18 @@
 ///
 ///   - CS01 / ladder: the hazard bumps keep the knot times, so they are one
 ///     kHazard scenario set (cds/sweep_pricer.hpp) -- `lanes(level)` bumps
-///     per register, leg sums against the base discount column.
-///   - IR01: each interest bump is one discount column, reduced against the
-///     base survival column.
+///     per register, Q at the ladder points and stubs, leg sums against the
+///     base discount column.
+///   - IR01: each interest bump is one discount column at the ladder points
+///     and stubs, reduced against the base survival column.
 ///   - Rec01 / JTD: the spread is exactly linear in the recovery rate, so
 ///     no bumped grid is needed at all -- the same central-difference
 ///     expression the scalar reference evaluates reduces to a reweighting
 ///     of the base grid's payoff/annuity sums.
 ///
-/// Scenarios run over blocks of whole grids, so their scratch is one block
-/// at any book size, and every sensitivity is an O(1) per-option combine of
+/// Scenarios run over blocks of at most 4,096 grids, each block holding
+/// every ladder and its grids' stubs, so their scratch is one block at any
+/// book size, and every sensitivity is an O(1) per-option combine of
 /// (scenario, grid) sums. Each scenario's sums are bit-identical to a
 /// BatchPricer pass on its bumped curve at the same level, so at kScalar
 /// all sensitivities match compute_sensitivities / cs01_ladder bit-for-bit
@@ -57,9 +66,10 @@
 /// tolerance of 1e-12 relative (the acceptance bound is 1e-9).
 ///
 /// *Lanes* (cds/vector_kernel.hpp): pass 2 tabulates the discount and
-/// survival columns with cds::simd -- arena-wide, one lane tail for the
-/// whole batch instead of one per grid -- hazard bumps fill the lanes with
-/// scenarios, and pass 3 combines spreads `lanes(level)` options at a time.
+/// survival columns with cds::simd -- one call per ladder extension and one
+/// over the batch's new stubs, so the lane tails are per call, not per
+/// grid -- hazard bumps fill the lanes with scenarios, and pass 3 combines
+/// spreads `lanes(level)` options at a time.
 /// This is the kernel's only path: the SIMD level is a parameter of the
 /// cds::simd calls, and nothing else here looks at it. At kScalar (one
 /// un-replicated lane, the default) cds::simd runs the scalar reference
@@ -67,7 +77,7 @@
 /// ReferencePricer, compute_sensitivities / cs01_ladder and the reference
 /// curve math (tests/test_vector_kernel.cpp,
 /// ScalarLevelIsBitIdenticalToReference). The leg-sum *reductions* keep the
-/// reference association order at every level (per grid, or per lane), so
+/// reference association order at every level (per ladder, or per lane), so
 /// above kScalar the only divergence is the per-element column math,
 /// bounded by VectorKernelContract (cds/precision.hpp) and documented in
 /// docs/VECTOR_LANES.md.
@@ -120,62 +130,75 @@ struct GridSums {
   double payoff = 0.0;   ///< unscaled payoff sum
 };
 
-/// The three running leg sums of one grid walk.
+/// The three running leg sums of one schedule walk.
 struct LegSums {
   double premium = 0.0;
   double accrual = 0.0;
   double payoff = 0.0;
 };
 
-/// Reduces the three leg sums over already-tabulated columns in exactly the
-/// reference pricer's accumulation order (price_breakdown). The column
-/// passes produce values; this reduction is what keeps the sums
-/// bit-consistent with the reference whenever the column values themselves
-/// agree. Shared by the batch, stream and scenario-sweep pricers so every
-/// engine folds columns identically.
-LegSums reduce_leg_sums(std::span<const TimePoint> points,
-                        std::span<const double> discount,
-                        std::span<const double> survival);
-
 /// Hoisted from the per-option combine: the annuity is recovery-free, so
 /// one check per grid covers every option on it (same diagnostic as
 /// combine_spread_bps).
 GridSums checked_grid_sums(const LegSums& sums);
 
-/// Completes one grid whose discount and survival columns are tabulated:
-/// fills its default-mass column dq_i = Q(t_{i-1}) - Q(t_i) and reduces the
-/// leg sums in the reference order, in one walk (checked like
-/// checked_grid_sums). Shared by BatchPricer::build_grids and the streaming
-/// pricer's hazard-quote re-tabulation, so a batch-built and an
-/// incrementally maintained grid are bit-identical.
-GridSums finish_grid(std::span<const TimePoint> points,
-                     std::span<const double> discount,
-                     std::span<const double> survival,
-                     std::span<double> default_mass);
+/// Continues the running sums over points [0, from) of one ladder through
+/// points [from, n), writing sums[i] after each point, in the reference
+/// pricer's accumulation order (price_breakdown). The column passes produce
+/// values; this walk is what keeps the sums bit-consistent with the
+/// reference whenever the column values themselves agree. Shared by
+/// BatchPricer::build_grids, the stream pricer's quote updates and the rate
+/// scenarios, so every engine folds columns identically.
+void scan_leg_sums(std::span<const TimePoint> points,
+                   std::span<const double> discount,
+                   std::span<const double> survival, std::size_t from,
+                   std::span<LegSums> sums);
 
-/// Grids [first_grid, last_grid) of one workspace and the scratch the
-/// scenario routines below use on them (the sweep keeps one block over its
-/// arena, the risk pass one per run of grids). Per-point arrays start at
-/// the block's first point. The brackets are scenario-invariant, since
-/// scenarios move knot values only; their subtractions are the reference
-/// expressions' own (tau_j - tau_{j-1}, t - seg_begin), done once.
+/// A grid's checked sums: its ladder's running sums after `prefix` points
+/// (`sums` / `survival` are the ladder's; prefix 0 is a one-point
+/// schedule, from zero sums and Q(0) = 1) continued by the stub's terms --
+/// the last step of the reference walk.
+GridSums stub_grid_sums(std::span<const LegSums> sums,
+                        std::span<const double> survival, std::size_t prefix,
+                        const TimePoint& stub, double stub_discount,
+                        double stub_survival);
+
+/// The points a scenario pass tabulates for grids [first_grid, last_grid)
+/// of one workspace, and the scratch the scenario routines below use on
+/// them (the sweep keeps one block over all its grids, the risk pass one
+/// per run of grids). Block points are every ladder's points, ladder by
+/// ladder, then the grids' stubs in grid order; per-point arrays follow
+/// that order. The brackets are scenario-invariant, since scenarios move
+/// knot values only; their subtractions are the reference expressions'
+/// own (tau_j - tau_{j-1}, t - seg_begin), done once.
 struct ScenarioBlock {
   std::size_t first_grid = 0;
   std::size_t last_grid = 0;
-  std::size_t first_point = 0;
+  std::vector<TimePoint> points;
+  std::vector<double> accrual_dt;  ///< points[i].dt, contiguous
+  std::vector<double> discount;    ///< base D at the block points
+  std::vector<double> survival;    ///< base Q at the block points
+  /// Each ladder's first block point; the last entry is the first stub.
+  std::vector<std::size_t> ladder_begin;
+  /// Per grid, the block row of its last ladder point before the stub, or
+  /// -1 for a one-point schedule.
+  std::vector<std::int64_t> prefix_row;
   // Hazard brackets (see simd::sweep_survival_group).
   std::vector<double> knot_dt;
   std::vector<double> point_dt;
   std::vector<std::int64_t> base_row;
   std::vector<std::int64_t> rate_row;
-  std::vector<double> accrual_dt;  ///< points[i].dt, contiguous
   /// Knots at or before the last point: later ones feed no row the group
   /// reads, so the transpose and lambda chain stop there, bits unchanged.
   std::size_t active_knots = 0;
-  // One lane-transposed scenario group, W lanes per knot, point or grid.
-  std::vector<double> rates_T, lambda_T, q_T, annuity_T, payoff_T;
-  // One scenario's checked per-grid sums and discount column.
-  std::vector<double> annuity, payoff, discount;
+  // One lane-transposed scenario group, W lanes per knot, point or grid
+  // (sums_T: 3 x W per ladder point).
+  std::vector<double> rates_T, lambda_T, q_T, sums_T, annuity_T, payoff_T;
+  // One scenario's checked per-grid sums, discount column and ladder sums.
+  std::vector<double> annuity, payoff, scenario_discount;
+  std::vector<LegSums> ladder_sums;
+
+  std::size_t stub_begin() const { return ladder_begin.back(); }
 };
 
 }  // namespace detail
@@ -185,7 +208,7 @@ struct BatchStats {
   std::size_t options = 0;
   /// Distinct (maturity, frequency) grids the batch collapsed to.
   std::size_t unique_schedules = 0;
-  /// Schedule points actually materialised and walked (sum over grids).
+  /// Points tabulated: every ladder's points plus one stub per grid.
   std::size_t grid_points = 0;
   /// Schedule points the scalar path would have walked (sum over options);
   /// grid_points / scalar_points is the dedup factor.
@@ -206,8 +229,8 @@ struct BatchRiskConfig {
 struct BatchRiskStats {
   /// Dedup/grid accounting of the base pricing tabulation.
   BatchStats base;
-  /// Points walked across all bumped-grid tabulations:
-  /// (4 + 2 * ladder buckets) scenario columns per unique grid.
+  /// Points tabulated across all bumped scenarios: (4 + 2 * ladder
+  /// buckets) columns over the base pass's ladders and stubs.
   std::size_t bumped_grid_points = 0;
   /// Full repricings the per-option scalar loop performs for the same
   /// output (7 + 2 * ladder buckets per option) -- the work the grid-level
@@ -217,31 +240,41 @@ struct BatchRiskStats {
 
 class BatchPricer {
  public:
-  /// The grid store: flat SoA arrays plus the dedup map. price() clears it
-  /// per call; the streaming pricer keeps one alive across calls as its
-  /// grid cache (build_grids only appends). All memory is retained, so a
-  /// warmed workspace makes a batch allocation-free. One workspace per
-  /// concurrent caller; any pricer may use it, since the knot-search
-  /// tables are checked against the pricer's knot times before reuse.
+  /// The schedule points of one payment frequency, t_i = i / frequency
+  /// (schedule.hpp's extend_ladder), as far as the workspace's longest grid
+  /// at that frequency needs them, with their tabulated columns and the
+  /// running leg sums after each point. A longer grid extends it in place.
+  struct Ladder {
+    double frequency = 0.0;  ///< 0 marks a ladder clear() emptied
+    std::vector<TimePoint> points;
+    std::vector<double> discount;        ///< D(t_i)
+    std::vector<double> survival;        ///< Q(t_i)
+    std::vector<detail::LegSums> sums;   ///< over points [0, i]
+  };
+
+  /// The grid store: one ladder per frequency, one stub point per grid and
+  /// the dedup map. price() clears it per call; the streaming pricer keeps
+  /// one alive across calls as its grid cache (build_grids only appends).
+  /// All memory is retained, so a warmed workspace makes a batch
+  /// allocation-free. One workspace per concurrent caller; any pricer may
+  /// use it, since the knot-search tables are checked against the pricer's
+  /// knot times before reuse.
   struct Workspace {
     // Per option, in batch order.
     std::vector<std::uint32_t> grid_of;
-    // Per unique grid.
+    // Per unique grid. A grid with an n-point schedule is ladder
+    // grid_ladder's first grid_prefix = n - 1 points, then its stub: the
+    // point (maturity, maturity - t_{n-1}) and its D and Q.
     std::vector<double> grid_maturity;
     std::vector<double> grid_frequency;
     std::vector<double> grid_annuity;  ///< premium + accrual leg sums
     std::vector<double> grid_payoff;   ///< unscaled payoff sum
-    std::vector<std::size_t> grid_offset;
-    // Flat arena over all unique grids. The three tabulated curves are not
-    // read by the spread combine (its reductions fold them immediately);
-    // they are the per-grid intermediates a risk pass differentiates --
-    // CS01/JTD are one more reduction over these arrays (see the ROADMAP
-    // batch-kernel-Greeks item) -- and the parity tests check them against
-    // the reference curve math directly.
-    std::vector<TimePoint> points;
-    std::vector<double> discount;  ///< D(t_i)
-    std::vector<double> survival;  ///< Q(t_i)
-    std::vector<double> default_mass;  ///< dq_i = Q(t_{i-1}) - Q(t_i)
+    std::vector<std::uint32_t> grid_ladder;
+    std::vector<std::size_t> grid_prefix;
+    std::vector<TimePoint> stub;
+    std::vector<double> stub_discount;  ///< D(maturity)
+    std::vector<double> stub_survival;  ///< Q(maturity)
+    std::vector<Ladder> ladders;
     std::unordered_map<detail::ScheduleKey, std::uint32_t,
                        detail::ScheduleKeyHash>
         dedup;
@@ -253,12 +286,17 @@ class BatchPricer {
     /// curves, not the batch.
     simd::SearchTables search;
 
-    /// Empties the grids; keeps all memory and the search tables.
+    /// Empties the grids and ladders; keeps all memory and the search
+    /// tables.
     void clear();
-    /// One past grid g's last point in the arena.
-    std::size_t grid_end(std::size_t g) const {
-      return g + 1 < grid_offset.size() ? grid_offset[g + 1] : points.size();
-    }
+    /// Grids with tabulated columns. A batch that threw in dedup leaves the
+    /// grids it registered after these; the next build_grids tabulates
+    /// them.
+    std::size_t tabulated_grids() const { return stub.size(); }
+    /// Points tabulated: every ladder's points plus one stub per grid.
+    std::size_t tabulated_points() const;
+    /// Grid g's checked sums from its ladder and stub.
+    detail::GridSums grid_sums(std::size_t g) const;
   };
 
   /// Scratch for price_with_sensitivities(): the base pricing workspace,
@@ -345,17 +383,18 @@ class BatchPricer {
   RiskRun price_with_sensitivities(const std::vector<CdsOption>& options,
                                    const BatchRiskConfig& config = {}) const;
 
-  /// Passes 1-2 of the kernel (dedup + base-grid tabulation): the one place
-  /// grids are deduplicated and tabulated, shared by the pricing and risk
-  /// paths, the scenario sweep (which builds the base grids once and
+  /// Passes 1-2 of the kernel (dedup + ladder and stub tabulation): the one
+  /// place grids are deduplicated and tabulated, shared by the pricing and
+  /// risk paths, the scenario sweep (which builds the base grids once and
   /// re-tabulates only the moved column per scenario) and the streaming
   /// pricer. Grids already in `ws` are reused; the (maturity, frequency)
-  /// pairs it lacks are appended and tabulated in one column sweep, after
-  /// ws.search is prepared for this pricer's curves. Fills
-  /// grid_of for `options` and everything per grid; returns stats with
-  /// options set and unique_schedules / grid_points counting every grid in
-  /// `ws` (on a cleared workspace, this batch's; scalar_points is left to
-  /// the caller's combine loop).
+  /// pairs it lacks are appended, their ladders extended where they need
+  /// more points, and the new ladder points and stubs tabulated, after
+  /// ws.search is prepared for this pricer's curves. Fills grid_of for
+  /// `options` and everything per grid; returns stats with options set and
+  /// unique_schedules / grid_points counting every grid and tabulated point
+  /// in `ws` (on a cleared workspace, this batch's; scalar_points is left
+  /// to the caller's combine loop).
   BatchStats build_grids(std::span<const CdsOption> options,
                          Workspace& ws) const;
 
@@ -368,10 +407,9 @@ class BatchPricer {
 
 namespace detail {
 
-/// Points `block` at grids [first, last) of `ws` and builds its hazard
-/// brackets against the scenarios' shared `knot_times`. Points ascend
-/// within a grid, so one forward walk from the first point's
-/// std::lower_bound gives every point's lower_bound index.
+/// Points `block` at grids [first, last) of `ws`: copies every ladder and
+/// the grids' stubs (points and base columns) into the block and builds
+/// their hazard brackets against the scenarios' shared `knot_times`.
 void build_scenario_block(std::span<const double> knot_times,
                           const BatchPricer::Workspace& ws, std::size_t first,
                           std::size_t last, ScenarioBlock& block);
@@ -385,21 +423,22 @@ using ScenarioSumsSink =
 /// The kHazard group loop over hazard scenarios given as rows of knot
 /// values, lanes(level) rows per group: transpose (a partial group pads
 /// with its last row; ops are lane-wise, so no real lane moves),
-/// simd::sweep_survival_group over the block, simd::sweep_leg_sums_group
-/// per grid against ws.discount, then each row's checked_grid_sums to
-/// `sink`. A row's bits equal a BatchPricer pass on its curve at `level`.
-void hazard_scenario_sums(std::span<const double> rows,
-                          const BatchPricer::Workspace& ws,
-                          ScenarioBlock& block, simd::Level level,
-                          const ScenarioSumsSink& sink);
+/// simd::sweep_survival_group over the block's points, one
+/// simd::sweep_ladder_sums_group scan per ladder against the base discount
+/// column, simd::sweep_stub_sums_group over the grids, then each row's
+/// checked_grid_sums to `sink`. A row's bits equal a BatchPricer pass on
+/// its curve at `level`.
+void hazard_scenario_sums(std::span<const double> rows, ScenarioBlock& block,
+                          simd::Level level, const ScenarioSumsSink& sink);
 
-/// One interest scenario over the block: its discount column (searched via
-/// ws.search.interest), then per grid checked_grid_sums of reduce_leg_sums
-/// against the arena-indexed `survival`, left in block.annuity / payoff.
+/// One interest scenario over the block: its discount column at the block
+/// points (searched via `search`, the base workspace's interest table), a
+/// scan_leg_sums per ladder and stub_grid_sums per grid against the
+/// block-ordered `survival`, left in block.annuity / payoff.
 void rate_scenario_sums(const TermStructure& interest,
+                        const simd::SearchTable& search,
                         std::span<const double> survival,
-                        const BatchPricer::Workspace& ws, ScenarioBlock& block,
-                        simd::Level level);
+                        ScenarioBlock& block, simd::Level level);
 
 }  // namespace detail
 

@@ -8,13 +8,15 @@ namespace cdsflow::cds {
 
 TermStructure::TermStructure(std::vector<double> times,
                              std::vector<double> values)
-    : times_(std::move(times)), values_(std::move(values)) {
+    : knots_(std::make_shared<const Knots>(
+          Knots{std::move(times), std::move(values)})) {
   validate();
 }
 
 void TermStructure::validate() const {
+  const std::vector<double>& times_ = times();
   CDSFLOW_EXPECT(!times_.empty(), "term structure needs at least one point");
-  CDSFLOW_EXPECT(times_.size() == values_.size(),
+  CDSFLOW_EXPECT(times_.size() == values().size(),
                  "term structure times/values length mismatch");
   CDSFLOW_EXPECT(times_.front() >= 0.0,
                  "term structure times must be non-negative");
@@ -29,6 +31,7 @@ std::size_t TermStructure::find_bracket_scan(double t) const {
   // one at or before t. (The FPGA cannot early-exit a pipelined loop without
   // hurting II, so the hardware always pays the full scan; the *value*
   // computed is identical to a binary search.)
+  const std::vector<double>& times_ = times();
   std::size_t last_le = 0;
   bool found = false;
   for (std::size_t i = 0; i < times_.size(); ++i) {
@@ -41,12 +44,15 @@ std::size_t TermStructure::find_bracket_scan(double t) const {
 }
 
 std::size_t TermStructure::count_at_or_before(double t) const {
+  const std::vector<double>& times_ = times();
   return static_cast<std::size_t>(
       std::upper_bound(times_.begin(), times_.end(), t) - times_.begin());
 }
 
 double TermStructure::lerp_on_bracket(std::size_t lo, double t) const {
   const std::size_t hi = lo + 1;
+  const std::vector<double>& times_ = times();
+  const std::vector<double>& values_ = values();
   const double t0 = times_[lo];
   const double t1 = times_[hi];
   const double v0 = values_[lo];
@@ -55,6 +61,8 @@ double TermStructure::lerp_on_bracket(std::size_t lo, double t) const {
 }
 
 double TermStructure::interpolate(double t) const {
+  const std::vector<double>& times_ = times();
+  const std::vector<double>& values_ = values();
   CDSFLOW_ASSERT(!times_.empty(), "interpolate on empty curve");
   if (t <= times_.front()) return values_.front();
   if (t >= times_.back()) return values_.back();
@@ -62,6 +70,8 @@ double TermStructure::interpolate(double t) const {
 }
 
 double TermStructure::interpolate_fast(double t) const {
+  const std::vector<double>& times_ = times();
+  const std::vector<double>& values_ = values();
   CDSFLOW_ASSERT(!times_.empty(), "interpolate on empty curve");
   if (t <= times_.front()) return values_.front();
   if (t >= times_.back()) return values_.back();

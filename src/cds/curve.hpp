@@ -13,10 +13,14 @@
 /// vectorises); `find_bracket_scan` exposes the same loop for the engine
 /// kernels while `interpolate` uses it so every code path computes identical
 /// values.
+///
+/// A curve is immutable once built, so copies share one knot store: the
+/// pricers each runtime lane holds copy their curves for free.
 
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,13 +34,13 @@ class TermStructure {
   /// increasing and non-negative; at least one point is required.
   TermStructure(std::vector<double> times, std::vector<double> values);
 
-  std::size_t size() const { return times_.size(); }
-  bool empty() const { return times_.empty(); }
-  const std::vector<double>& times() const { return times_; }
-  const std::vector<double>& values() const { return values_; }
-  double time(std::size_t i) const { return times_.at(i); }
-  double value(std::size_t i) const { return values_.at(i); }
-  double max_time() const { return times_.back(); }
+  std::size_t size() const { return times().size(); }
+  bool empty() const { return times().empty(); }
+  const std::vector<double>& times() const { return knots().times; }
+  const std::vector<double>& values() const { return knots().values; }
+  double time(std::size_t i) const { return times().at(i); }
+  double value(std::size_t i) const { return values().at(i); }
+  double max_time() const { return times().back(); }
 
   /// Index of the last knot with time <= t via the same linear scan the HLS
   /// kernel performs; returns size() when t precedes the first knot's use
@@ -70,8 +74,16 @@ class TermStructure {
   /// equality is structural.
   double lerp_on_bracket(std::size_t lo, double t) const;
 
-  std::vector<double> times_;
-  std::vector<double> values_;
+  struct Knots {
+    std::vector<double> times;
+    std::vector<double> values;
+  };
+  /// The shared store; a default-constructed (or moved-from) curve reads as
+  /// empty.
+  const Knots& knots() const { return knots_ ? *knots_ : kNoKnots; }
+
+  inline static const Knots kNoKnots{};
+  std::shared_ptr<const Knots> knots_;
 };
 
 }  // namespace cdsflow::cds

@@ -14,6 +14,13 @@ namespace {
 /// 5.0 * 4 payments.
 constexpr double kDateEps = 1e-9;
 
+/// Payment point i >= 1 at spacing `step` = 1 / frequency -- the one
+/// formula for a payment time and its accrual period (t_0 = 0 * step = 0).
+TimePoint payment_point(std::size_t i, double step) {
+  const double t = static_cast<double>(i) * step;
+  return {t, t - static_cast<double>(i - 1) * step};
+}
+
 }  // namespace
 
 std::size_t schedule_size(const CdsOption& option) {
@@ -40,17 +47,27 @@ std::size_t make_schedule(const CdsOption& option,
     out.reserve(std::max(out.size() + n, 2 * out.capacity()));
   }
   const double step = 1.0 / option.payment_frequency;
-  double prev = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    double t = static_cast<double>(i) * step;
-    if (i == n || t > option.maturity_years) t = option.maturity_years;
-    CDSFLOW_ASSERT(t > prev, "schedule produced a non-increasing time point");
-    out.push_back({t, t - prev});
-    prev = t;
-  }
-  CDSFLOW_ASSERT(out.back().t == option.maturity_years,
-                 "schedule must end at maturity");
+  for (std::size_t i = 1; i < n; ++i) out.push_back(payment_point(i, step));
+  out.push_back(maturity_point(option, n));
   return n;
+}
+
+void extend_ladder(double frequency, std::size_t count,
+                   std::vector<TimePoint>& ladder) {
+  const double step = 1.0 / frequency;
+  for (std::size_t i = ladder.size() + 1; i <= count; ++i) {
+    ladder.push_back(payment_point(i, step));
+  }
+}
+
+TimePoint maturity_point(const CdsOption& option, std::size_t n) {
+  const double t = option.maturity_years;
+  // t_{n-1} < maturity holds by schedule_size's ceil; a frequency whose
+  // rounding broke it would leave no positive stub period.
+  const double prev =
+      static_cast<double>(n - 1) * (1.0 / option.payment_frequency);
+  CDSFLOW_ASSERT(t > prev, "schedule produced a non-increasing time point");
+  return {t, t - prev};
 }
 
 }  // namespace cdsflow::cds

@@ -1,5 +1,6 @@
 #include "cds/stream_pricer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -25,9 +26,9 @@ void StreamPricer::price(std::span<const CdsOption> options,
   CDSFLOW_EXPECT(out.size() == options.size(),
                  "stream price() needs out.size() == options.size()");
   // Pass 1-2 against the *persistent* cache: new (maturity, frequency)
-  // pairs tabulate a grid that then serves every later batch. Column bits
-  // do not depend on where a grid sits in the arena, so appending matches
-  // a batch rebuild.
+  // pairs tabulate a stub (and any ladder points they add) that then serve
+  // every later batch. Column bits do not depend on which call tabulated a
+  // point, so extending the cache matches a batch rebuild.
   pricer_.build_grids(options, grids_);
   // Pass 3 -- the batch kernel's per-option combine.
   simd::combine_spreads(options, grids_.grid_of, grids_.grid_annuity,
@@ -36,7 +37,7 @@ void StreamPricer::price(std::span<const CdsOption> options,
   stats_.options_priced += options.size();
   stats_.batches += 1;
   stats_.cached_grids = grids_.grid_maturity.size();
-  stats_.grid_points = grids_.points.size();
+  stats_.grid_points = grids_.tabulated_points();
 }
 
 void StreamPricer::price_with_sensitivities(
@@ -74,31 +75,40 @@ std::size_t StreamPricer::update_hazard_quote(std::size_t knot, double rate) {
                         TermStructure(hazard.times(), std::move(values)),
                         pricer_.kernel_level());
 
-  // The affected grids get a new survival column and sums; the discount
-  // column stays (the interest curve did not move). The knot times did not
-  // move either, so prepare() finds the cache's search tables still valid
-  // (it builds them only if nothing was tabulated yet, for the next batch).
-  // Only tabulated grids are walked: a batch that threw in dedup leaves
-  // grids registered without an offset, and build_grids tabulates those on
-  // the current curves when they are next priced.
+  // The moved survival values: each ladder's points past the threshold,
+  // whose running sums are then rescanned from the first of them, and the
+  // stubs of the grids whose maturity is past it, whose sums follow. The
+  // discount columns stay (the interest curve did not move). The knot times
+  // did not move either, so prepare() finds the cache's search tables still
+  // valid (it builds them only if nothing was tabulated yet, for the next
+  // batch). Only tabulated grids are walked: a batch that threw in dedup
+  // leaves grids registered without a stub, and build_grids tabulates
+  // those on the current curves when they are next priced.
+  const HazardPrefix& prefix = pricer_.hazard_prefix();
+  const simd::Level level = pricer_.kernel_level();
+  grids_.search.prepare(pricer_.interest(), prefix, level);
+  for (BatchPricer::Ladder& ladder : grids_.ladders) {
+    const auto points =
+        std::span<const TimePoint>(ladder.points).first(ladder.sums.size());
+    const auto from = static_cast<std::size_t>(
+        std::upper_bound(points.begin(), points.end(), affected_past,
+                         [](double t, const TimePoint& p) { return t < p.t; }) -
+        points.begin());
+    if (from == points.size()) continue;
+    simd::survival_column(prefix, grids_.search.hazard, points.subspan(from),
+                          std::span(ladder.survival).subspan(from), level);
+    detail::scan_leg_sums(points, ladder.discount, ladder.survival, from,
+                          ladder.sums);
+  }
   std::size_t retabulated = 0;
-  const std::size_t n_grids = grids_.grid_offset.size();
-  const auto points = std::span<const TimePoint>(grids_.points);
-  const auto survival = std::span<double>(grids_.survival);
-  grids_.search.prepare(pricer_.interest(), pricer_.hazard_prefix(),
-                        pricer_.kernel_level());
+  const std::size_t n_grids = grids_.tabulated_grids();
   for (std::size_t g = 0; g < n_grids; ++g) {
     if (grids_.grid_maturity[g] <= affected_past) continue;
-    const std::size_t begin = grids_.grid_offset[g];
-    const std::size_t n = grids_.grid_end(g) - begin;
-    simd::survival_column(pricer_.hazard_prefix(), grids_.search.hazard,
-                          points.subspan(begin, n), survival.subspan(begin, n),
-                          pricer_.kernel_level());
-    const detail::GridSums sums = detail::finish_grid(
-        points.subspan(begin, n),
-        std::span<const double>(grids_.discount).subspan(begin, n),
-        survival.subspan(begin, n),
-        std::span<double>(grids_.default_mass).subspan(begin, n));
+    simd::survival_column(prefix, grids_.search.hazard,
+                          std::span(grids_.stub).subspan(g, 1),
+                          std::span(grids_.stub_survival).subspan(g, 1),
+                          level);
+    const detail::GridSums sums = grids_.grid_sums(g);
     grids_.grid_annuity[g] = sums.annuity;
     grids_.grid_payoff[g] = sums.payoff;
     ++retabulated;

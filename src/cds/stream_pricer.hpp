@@ -19,22 +19,26 @@
 ///     piecewise-constant: rate h_k applies on (tau_{k-1}, tau_k], so moving
 ///     quote k changes the integrated hazard -- and hence Q(t) -- only for
 ///     t > tau_{k-1}. update_hazard_quote() rebuilds the O(knots) prefix
-///     table (cheap: one multiply-add per knot, no exp) and re-tabulates
-///     only the cached grids whose maturity extends past tau_{k-1}, reusing
-///     the discount column (the interest curve did not move) and the
-///     cache's knot-search tables (the knot times did not move). Grids at or
-///     below the threshold keep survival values that are bit-identical to
-///     what a full rebuild would produce, because the prefix sums below the
-///     moved knot accumulate the same terms in the same order -- so the
-///     incremental state is bit-consistent with a freshly-built BatchPricer
-///     on the updated curve (asserted by tests/test_stream_pricer.cpp).
+///     table (cheap: one multiply-add per knot, no exp), re-tabulates the
+///     survival of each payment ladder's points past tau_{k-1} and rescans
+///     its running leg sums from the first of them, then re-tabulates the
+///     stub and sums of only the cached grids whose maturity extends past
+///     tau_{k-1}. It reuses the discount columns (the interest curve did
+///     not move) and the cache's knot-search tables (the knot times did not
+///     move). Points at or below the threshold keep survival values that
+///     are bit-identical to what a full rebuild would produce, because the
+///     prefix sums below the moved knot accumulate the same terms in the
+///     same order -- so the incremental state is bit-consistent with a
+///     freshly-built BatchPricer on the updated curve (asserted by
+///     tests/test_stream_pricer.cpp).
 ///
 /// The pricer owns no grid code of its own: it holds one BatchPricer on the
 /// current curves and one BatchPricer::Workspace that it never clears, so
 /// BatchPricer::build_grids -- the one home of dedup and tabulation --
-/// appends the grids a micro-batch introduces and reuses the rest. A
+/// appends the grids a micro-batch introduces (extending a ladder in place
+/// when a grid needs more of its points) and reuses the rest. A
 /// hazard-quote update replaces the BatchPricer and re-tabulates the
-/// affected grids' survival columns in place.
+/// moved survival values in place.
 ///
 /// Risk mode reuses the batched Greeks kernel: price_with_sensitivities()
 /// delegates each micro-batch to the same BatchPricer's
@@ -79,7 +83,7 @@ struct StreamPricerStats {
   std::uint64_t batches = 0;
   /// Distinct (maturity, frequency) grids currently cached.
   std::size_t cached_grids = 0;
-  /// Schedule points materialised across all cached grids.
+  /// Points tabulated across the cache: its ladders plus one stub per grid.
   std::size_t grid_points = 0;
   /// Hazard-quote updates applied.
   std::uint64_t hazard_updates = 0;
@@ -113,10 +117,11 @@ class StreamPricer {
                                 std::span<double> ladder_out);
 
   /// Applies a hazard-quote update: replaces knot `knot`'s rate with `rate`
-  /// (finite, positive) and re-tabulates only the cached grids whose
-  /// maturity extends past the preceding knot. Returns the number of grids
-  /// re-tabulated. O(knots + affected grid points); bit-consistent with a
-  /// full rebuild on the updated curve.
+  /// (finite, positive) and re-tabulates the ladder points past the
+  /// preceding knot and only the cached grids whose maturity extends past
+  /// it. Returns the number of grids re-tabulated. O(knots + moved ladder
+  /// points + affected grids); bit-consistent with a full rebuild on the
+  /// updated curve.
   std::size_t update_hazard_quote(std::size_t knot, double rate);
 
   const TermStructure& interest() const { return pricer_.interest(); }

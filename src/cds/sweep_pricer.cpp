@@ -50,8 +50,8 @@ SweepPricer::SweepPricer(TermStructure interest, TermStructure hazard,
     rec_max_[g] = rec > rec_max_[g] ? rec : rec_max_[g];
   }
 
-  // The scenario-invariant hazard brackets of the whole arena, built once
-  // for every sweep.
+  // Every ladder and stub with their scenario-invariant hazard brackets,
+  // built once for every sweep.
   n_knots_ = base_.hazard().size();
   detail::build_scenario_block(base_.hazard().times(), ws_, 0, n_grids_,
                                block_);
@@ -109,7 +109,7 @@ void SweepPricer::sweep_hazard(const ScenarioMatrix& m, std::size_t begin,
                                const ResultSink& sink) {
   detail::hazard_scenario_sums(
       m.hazard_values.subspan(begin * n_knots_, (end - begin) * n_knots_),
-      ws_, block_, base_.kernel_level(),
+      block_, base_.kernel_level(),
       [&](std::size_t row, std::span<const double> annuity,
           std::span<const double> payoff) {
         emit_scenario(begin + row, begin, annuity, payoff, aggregates, sink);
@@ -121,8 +121,8 @@ void SweepPricer::sweep_rate(const ScenarioMatrix& m, std::size_t begin,
                              std::span<ScenarioAggregate> aggregates,
                              const ResultSink& sink) {
   for (std::size_t s = begin; s < end; ++s) {
-    detail::rate_scenario_sums(rate_curve(m, s), ws_.survival, ws_, block_,
-                               base_.kernel_level());
+    detail::rate_scenario_sums(rate_curve(m, s), ws_.search.interest,
+                               block_.survival, block_, base_.kernel_level());
     emit_scenario(s, begin, block_.annuity, block_.payoff, aggregates, sink);
   }
 }
@@ -131,15 +131,15 @@ void SweepPricer::sweep_joint(const ScenarioMatrix& m, std::size_t begin,
                               std::size_t end,
                               std::span<ScenarioAggregate> aggregates,
                               const ResultSink& sink) {
-  q_col_.resize(ws_.points.size());
+  q_col_.resize(block_.points.size());
   for (std::size_t s = begin; s < end; ++s) {
     fill_hazard_prefix(base_.hazard().times(),
                        m.hazard_values.subspan(s * n_knots_, n_knots_),
                        scen_prefix_);
-    simd::survival_column(scen_prefix_, ws_.search.hazard, ws_.points, q_col_,
-                          base_.kernel_level());
-    detail::rate_scenario_sums(rate_curve(m, s), q_col_, ws_, block_,
-                               base_.kernel_level());
+    simd::survival_column(scen_prefix_, ws_.search.hazard, block_.points,
+                          q_col_, base_.kernel_level());
+    detail::rate_scenario_sums(rate_curve(m, s), ws_.search.interest, q_col_,
+                               block_, base_.kernel_level());
     emit_scenario(s, begin, block_.annuity, block_.payoff, aggregates, sink);
   }
 }

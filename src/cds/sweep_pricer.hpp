@@ -19,7 +19,7 @@
 ///   kHazard  shared: schedules, dedup, D column, segment brackets
 ///            per scenario: Q column only -- and because every scenario
 ///            shares the knot *times*, even the Q column needs no searches:
-///            the segment index and dt of every schedule point are
+///            the segment index and dt of every tabulated point are
 ///            precomputed once, and `simd::sweep_survival_group` tabulates
 ///            `lanes(level)` scenarios per vector register (scenarios in
 ///            the lanes -- the scenario axis is embarrassingly data-
@@ -28,13 +28,19 @@
 ///   kJoint   shared: schedules, dedup, segment precompute; per scenario:
 ///            both columns.
 ///
-/// The kRate and kJoint columns search knots through the base workspace's
-/// tables (BatchPricer::Workspace::search): built once with the base grids,
-/// they serve every scenario because scenarios keep the knot times.
+/// A scenario's columns are tabulated where the base grids are: at each
+/// frequency's payment-ladder points and at one stub point per grid
+/// (batch_pricer.hpp, step 2), about one point per grid on a
+/// continuous-maturity book. The kRate and kJoint columns search knots
+/// through the base workspace's tables (BatchPricer::Workspace::search):
+/// built once with the base grids, they serve every scenario because
+/// scenarios keep the knot times.
 ///
-/// Per scenario the per-grid leg sums reduce in the scalar reference order
-/// (detail::reduce_leg_sums) and the per-option combine collapses to O(1)
-/// per *grid* for the min/max aggregates: the combine expression
+/// Per scenario the leg sums are one running-sum scan per ladder plus one
+/// stub step per grid, in the scalar reference order (detail::scan_leg_sums
+/// / stub_grid_sums, or simd::sweep_ladder_sums_group /
+/// sweep_stub_sums_group lane-wise), and the per-option combine collapses
+/// to O(1) per *grid* for the min/max aggregates: the combine expression
 ///     spread = kBasisPointsPerUnit * ((1 - recovery) * payoff_g) / annuity_g
 /// is monotone (weakly decreasing) in the recovery rate under IEEE
 /// round-to-nearest -- payoff_g >= 0 and annuity_g > 0, and each step
@@ -203,8 +209,8 @@ class SweepPricer {
   BatchStats book_stats_;
   std::size_t n_grids_ = 0;
   std::size_t n_knots_ = 0;  ///< hazard knots
-  /// The whole arena as one scenario block: brackets built once with the
-  /// base grids, group and column scratch reused across sweeps.
+  /// Every ladder and stub as one scenario block: brackets built once with
+  /// the base grids, group and column scratch reused across sweeps.
   detail::ScenarioBlock block_;
 
   // Per-grid extremal recovery rates (first pass over the book).
@@ -212,7 +218,7 @@ class SweepPricer {
   std::vector<double> rec_max_;
 
   // Reused per-sweep scratch.
-  std::vector<double> q_col_;      ///< one kJoint scenario's survival column
+  std::vector<double> q_col_;  ///< one kJoint scenario's survival column
   std::vector<SpreadResult> results_;
   HazardPrefix scen_prefix_;  ///< kJoint per-scenario prefix (reused)
 };

@@ -65,11 +65,11 @@ std::size_t vector_head(std::size_t n, Level level) {
 /// lane fmadd/fnmadd, so for any finite input this returns the exact bits a
 /// vector lane would. The vector-level column tails run this instead of
 /// std::exp so a point's value never depends on whether it landed in the
-/// lane head or the tail -- i.e. on where the batch arena happened to end.
+/// lane head or the tail -- i.e. on where a column call happened to end.
 /// That is what keeps vector-level results invariant under sharding, thread
 /// chunking and micro-batching (the runtime's determinism guarantees), and
-/// incremental per-grid re-tabulation bit-consistent with an arena-wide
-/// rebuild. kScalar keeps std::exp: the scalar reference arithmetic.
+/// ladder extensions and quote-update re-tabulation bit-consistent with a
+/// full rebuild. kScalar keeps std::exp: the scalar reference arithmetic.
 double exp_pd_scalar(double x) {
   constexpr double kLog2e = 1.44269504088896340736;
   constexpr double kLn2Hi = 6.93147180369123816490e-01;
@@ -441,36 +441,33 @@ void sweep_survival_group(std::span<const double> rates_T,
   }
 }
 
-void sweep_leg_sums_group(std::span<const double> dts,
-                          std::span<const double> discount,
-                          std::span<const double> q_T,
-                          std::span<double> annuity_out,
-                          std::span<double> payoff_out, Level level) {
+void sweep_ladder_sums_group(std::span<const double> dts,
+                             std::span<const double> discount,
+                             std::span<const double> q_T,
+                             std::span<double> sums_T, Level level) {
   const Level run = resolve_level(level);
   const std::size_t w = lanes(run);
   const std::size_t n = dts.size();
   CDSFLOW_ASSERT(discount.size() == n && q_T.size() == n * w &&
-                     annuity_out.size() == w && payoff_out.size() == w,
-                 "sweep leg-sum spans must match (one grid, lane-width "
-                 "scenario group)");
+                     sums_T.size() == 3 * n * w,
+                 "sweep ladder spans must match (one ladder, lane-width "
+                 "scenario group, three sums per point)");
   if (run != Level::kScalar) {
 #if defined(CDSFLOW_HAVE_AVX512)
     if (run == Level::kAvx512) {
-      detail_avx512::sweep_leg_sums_block(dts.data(), discount.data(),
-                                          q_T.data(), n, annuity_out.data(),
-                                          payoff_out.data());
+      detail_avx512::sweep_ladder_scan(dts.data(), discount.data(), q_T.data(),
+                                       n, sums_T.data());
     }
 #endif
 #if defined(CDSFLOW_HAVE_AVX2)
     if (run == Level::kAvx2) {
-      detail_avx2::sweep_leg_sums_block(dts.data(), discount.data(),
-                                        q_T.data(), n, annuity_out.data(),
-                                        payoff_out.data());
+      detail_avx2::sweep_ladder_scan(dts.data(), discount.data(), q_T.data(),
+                                     n, sums_T.data());
     }
 #endif
     return;
   }
-  // kScalar (w == 1): literally reduce_leg_sums' walk, term by term.
+  // kScalar (w == 1): the reference walk, term by term.
   double premium = 0.0;
   double accrual = 0.0;
   double payoff = 0.0;
@@ -481,10 +478,67 @@ void sweep_leg_sums_group(std::span<const double> dts,
     premium += terms.premium;
     accrual += terms.accrual;
     payoff += terms.payoff;
+    sums_T[3 * i] = premium;
+    sums_T[3 * i + 1] = accrual;
+    sums_T[3 * i + 2] = payoff;
     q_prev = q_T[i];
   }
-  annuity_out[0] = premium + accrual;
-  payoff_out[0] = payoff;
+}
+
+void sweep_stub_sums_group(std::span<const std::int64_t> prefix_row,
+                           std::span<const double> ladder_q_T,
+                           std::span<const double> sums_T,
+                           std::span<const double> stub_dts,
+                           std::span<const double> stub_discount,
+                           std::span<const double> stub_q_T,
+                           std::span<double> annuity_out,
+                           std::span<double> payoff_out, Level level) {
+  const Level run = resolve_level(level);
+  const std::size_t w = lanes(run);
+  const std::size_t n = prefix_row.size();
+  CDSFLOW_ASSERT(sums_T.size() == 3 * ladder_q_T.size() &&
+                     stub_dts.size() == n && stub_discount.size() == n &&
+                     stub_q_T.size() == n * w && annuity_out.size() == n * w &&
+                     payoff_out.size() == n * w,
+                 "sweep stub spans must match (one stub per grid, "
+                 "lane-width scenario group)");
+  if (run != Level::kScalar) {
+#if defined(CDSFLOW_HAVE_AVX512)
+    if (run == Level::kAvx512) {
+      detail_avx512::sweep_stub_sums(prefix_row.data(), ladder_q_T.data(),
+                                     sums_T.data(), stub_dts.data(),
+                                     stub_discount.data(), stub_q_T.data(), n,
+                                     annuity_out.data(), payoff_out.data());
+    }
+#endif
+#if defined(CDSFLOW_HAVE_AVX2)
+    if (run == Level::kAvx2) {
+      detail_avx2::sweep_stub_sums(prefix_row.data(), ladder_q_T.data(),
+                                   sums_T.data(), stub_dts.data(),
+                                   stub_discount.data(), stub_q_T.data(), n,
+                                   annuity_out.data(), payoff_out.data());
+    }
+#endif
+    return;
+  }
+  // kScalar (w == 1): the reference walk's last step from the prefix sums.
+  for (std::size_t g = 0; g < n; ++g) {
+    double premium = 0.0;
+    double accrual = 0.0;
+    double payoff = 0.0;
+    double q_prev = 1.0;  // Q(0): a one-point schedule
+    if (prefix_row[g] >= 0) {
+      const auto row = static_cast<std::size_t>(prefix_row[g]);
+      premium = sums_T[3 * row];
+      accrual = sums_T[3 * row + 1];
+      payoff = sums_T[3 * row + 2];
+      q_prev = ladder_q_T[row];
+    }
+    const LegTerms terms = leg_terms_from_discount(stub_discount[g], q_prev,
+                                                   stub_q_T[g], stub_dts[g]);
+    annuity_out[g] = (premium + terms.premium) + (accrual + terms.accrual);
+    payoff_out[g] = payoff + terms.payoff;
+  }
 }
 
 }  // namespace cdsflow::cds::simd

@@ -230,21 +230,37 @@ void sweep_survival_group(std::span<const double> rates_T,
                           std::span<const std::int64_t> rate_row,
                           std::span<double> q_T, Level level);
 
-/// Scenario-group leg-sum reduction for the sweep pricer: one grid of
-/// `dts.size()` schedule points, W = lanes(resolve_level(level)) scenarios
-/// abreast. `discount` is the grid's shared discount column, `q_T` the
-/// grid's slice of sweep_survival_group's scenario-minor survival rows, and
-/// the outputs hold one annuity (premium + accrual, checked_grid_sums' add)
-/// and one payoff sum per lane. Per lane this is detail::reduce_leg_sums'
-/// exact serial accumulation -- kScalar literally runs it; vector levels
-/// run the identical plain mul/add expressions lane-wise -- so a scenario's
-/// sums are bit-identical to a one-scenario reduction and invariant under
-/// grouping, sharding and thread count. The annuity positivity check stays
-/// with the caller.
-void sweep_leg_sums_group(std::span<const double> dts,
-                          std::span<const double> discount,
-                          std::span<const double> q_T,
-                          std::span<double> annuity_out,
-                          std::span<double> payoff_out, Level level);
+/// Scenario-group running leg sums along one payment ladder (the points
+/// i / frequency every grid at that frequency shares), W =
+/// lanes(resolve_level(level)) scenarios abreast. `discount` is the
+/// ladder's shared discount column and `q_T` its slice of
+/// sweep_survival_group's scenario-minor survival rows; row i of `sums_T`
+/// (3 x W doubles) receives each lane's premium, accrual and payoff sums
+/// over points [0, i]. Per lane this is the reference walk's exact serial
+/// accumulation (price_breakdown) -- kScalar literally runs it; vector
+/// levels run the identical plain mul/add expressions lane-wise -- so a
+/// scenario's sums are bit-identical to a one-scenario walk and invariant
+/// under grouping, sharding and thread count.
+void sweep_ladder_sums_group(std::span<const double> dts,
+                             std::span<const double> discount,
+                             std::span<const double> q_T,
+                             std::span<double> sums_T, Level level);
+
+/// Scenario-group grid sums, W scenarios abreast: grid g's schedule is its
+/// ladder's points up to `prefix_row[g]` (a row of `ladder_q_T` /
+/// `sums_T`; -1 for a one-point schedule) followed by its stub point
+/// (stub_dts[g], stub_discount[g], stub_q_T's row g). The prefix row's
+/// running sums continue by the stub's step, and the outputs hold one
+/// annuity (premium + accrual, checked_grid_sums' add) and one payoff sum
+/// per lane and grid -- per lane bit-identical to walking the grid's whole
+/// schedule from zero. The annuity positivity check stays with the caller.
+void sweep_stub_sums_group(std::span<const std::int64_t> prefix_row,
+                           std::span<const double> ladder_q_T,
+                           std::span<const double> sums_T,
+                           std::span<const double> stub_dts,
+                           std::span<const double> stub_discount,
+                           std::span<const double> stub_q_T,
+                           std::span<double> annuity_out,
+                           std::span<double> payoff_out, Level level);
 
 }  // namespace cdsflow::cds::simd

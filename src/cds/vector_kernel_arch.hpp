@@ -63,7 +63,7 @@ struct PrefixView {
 
 }  // namespace cdsflow::cds::simd
 
-// Each arch namespace implements the same five kernels (see
+// Each arch namespace implements the same kernels (see
 // vector_kernel_impl.hpp for the single shared implementation):
 //
 //   survival_column:  q_out[i] = exp(-Lambda(t_i)); ts strided by
@@ -74,8 +74,10 @@ struct PrefixView {
 //   exp_columns:      out[i] = exp_pd(xs[i]).
 //   sweep_survival_block: one lane-width group of scenarios at once,
 //                     scenario-major (see the declaration comment below).
-//   sweep_leg_sums_block: the leg-sum reduction of one grid for one
-//                     lane-width group of scenarios (see below).
+//   sweep_ladder_scan: the running leg sums along one payment ladder for
+//                     one lane-width group of scenarios (see below).
+//   sweep_stub_sums:  each grid's sums from its ladder prefix and its stub
+//                     point, for one lane-width group (see below).
 
 // sweep_survival_block contract (scenario-sweep fast path, one group of
 // exactly W = lane-width scenarios, scenario-minor within a W-wide row):
@@ -99,21 +101,34 @@ struct PrefixView {
 //             survival_column evaluate, so each scenario's column is
 //             bit-identical to a one-scenario tabulation at the same level.
 //
-// sweep_leg_sums_block contract (one grid x one W-wide scenario group):
+// sweep_ladder_scan contract (one payment ladder x one W-wide group):
 //
-//   dts:      the grid's n_points accrual intervals (TimePoint::dt).
-//   discount: the grid's n_points shared discount column (broadcast -- a
-//             hazard sweep never moves D).
-//   q_T:      n_points rows of W doubles, the grid's slice of the group's
-//             survival columns (scenario-minor, sweep_survival_block's
-//             layout).
-//   annuity_out / payoff_out: W doubles each. Per lane, the kernel runs
-//             reduce_leg_sums' exact serial accumulation -- q_prev starts
-//             at 1, dq = q_prev - q, premium += (d*q)*dt,
+//   dts:      the ladder's n_points accrual intervals (TimePoint::dt).
+//   discount: the ladder's shared discount column (broadcast -- a hazard
+//             sweep never moves D).
+//   q_T:      n_points rows of W doubles, the ladder's slice of the group's
+//             survival columns (sweep_survival_block's layout).
+//   sums_T:   n_points rows of 3 x W doubles, written: row i holds each
+//             lane's premium, accrual and payoff sums over points [0, i].
+//             Per lane, the kernel runs the reference walk's exact serial
+//             accumulation (price_breakdown) -- q_prev starts at 1,
+//             dq = q_prev - q, premium += (d*q)*dt,
 //             accrual += ((0.5*d)*dq)*dt, payoff += d*dq, all plain
-//             mul/add -- then annuity = premium + accrual
-//             (checked_grid_sums' add). Bit-identical per lane to the
-//             scalar walk, so grouping/sharding never moves a sum.
+//             mul/add -- so every running sum is bit-identical per lane to
+//             the scalar walk.
+//
+// sweep_stub_sums contract (n_grids grids x one W-wide group):
+//
+//   prefix_row: per grid, the ladder row of its last point before the stub
+//             (its ladder's row prefix - 1 in sums_T / ladder_q_T), or -1
+//             for a one-point schedule (zero sums, q_prev = 1).
+//   stub_dts / stub_discount: per grid, the stub's accrual and D.
+//   stub_q_T: n_grids rows of W doubles, the stubs' survival.
+//   annuity_out / payoff_out: n_grids rows of W doubles. Per lane: the
+//             prefix row's sums continued by the stub's step (the scan's
+//             expressions), then annuity = premium + accrual
+//             (checked_grid_sums' add) -- bit-identical to walking the
+//             grid's whole schedule from zero.
 #if defined(CDSFLOW_HAVE_AVX2)
 namespace cdsflow::cds::simd::detail_avx2 {
 void survival_column(const PrefixView& prefix, const double* ts,
@@ -131,9 +146,14 @@ void sweep_survival_block(const double* rates_T, std::size_t n_knots,
                           const std::int64_t* base_row,
                           const std::int64_t* rate_row, std::size_t n_points,
                           double* q_T);
-void sweep_leg_sums_block(const double* dts, const double* discount,
-                          const double* q_T, std::size_t n_points,
-                          double* annuity_out, double* payoff_out);
+void sweep_ladder_scan(const double* dts, const double* discount,
+                       const double* q_T, std::size_t n_points,
+                       double* sums_T);
+void sweep_stub_sums(const std::int64_t* prefix_row, const double* ladder_q_T,
+                     const double* sums_T, const double* stub_dts,
+                     const double* stub_discount, const double* stub_q_T,
+                     std::size_t n_grids, double* annuity_out,
+                     double* payoff_out);
 }  // namespace cdsflow::cds::simd::detail_avx2
 #endif
 
@@ -154,8 +174,13 @@ void sweep_survival_block(const double* rates_T, std::size_t n_knots,
                           const std::int64_t* base_row,
                           const std::int64_t* rate_row, std::size_t n_points,
                           double* q_T);
-void sweep_leg_sums_block(const double* dts, const double* discount,
-                          const double* q_T, std::size_t n_points,
-                          double* annuity_out, double* payoff_out);
+void sweep_ladder_scan(const double* dts, const double* discount,
+                       const double* q_T, std::size_t n_points,
+                       double* sums_T);
+void sweep_stub_sums(const std::int64_t* prefix_row, const double* ladder_q_T,
+                     const double* sums_T, const double* stub_dts,
+                     const double* stub_discount, const double* stub_q_T,
+                     std::size_t n_grids, double* annuity_out,
+                     double* payoff_out);
 }  // namespace cdsflow::cds::simd::detail_avx512
 #endif

@@ -469,33 +469,66 @@ void sweep_survival_block(const double* rates_T, std::size_t n_knots,
   }
 }
 
-void sweep_leg_sums_block(const double* dts, const double* discount,
-                          const double* q_T, std::size_t n_points,
-                          double* annuity_out, double* payoff_out) {
-  // reduce_leg_sums per lane: serial walk over the grid's points with W
-  // scenarios abreast. D and dt are scenario-invariant (broadcast); the
-  // per-point terms are leg_terms_from_discount's expressions in its
-  // association order, plain mul/add, never contracted -- so every lane
-  // reproduces the scalar reduction bit for bit.
-  const VecD half = set1(0.5);
-  VecD premium = set1(0.0);
-  VecD accrual = set1(0.0);
-  VecD payoff = set1(0.0);
+namespace {
+
+/// One reference leg-sum step for W scenarios abreast: the point's terms in
+/// leg_terms_from_discount's association order, plain mul/add, never
+/// contracted, added to the running sums -- every lane reproduces the
+/// scalar walk's step bit for bit. D and dt are scenario-invariant
+/// (broadcast).
+struct LaneSums {
+  VecD premium, accrual, payoff;
+};
+
+inline LaneSums leg_step(LaneSums sums, VecD q_prev, VecD q, double d_s,
+                         double dt_s) {
+  const VecD d = set1(d_s);
+  const VecD dt = set1(dt_s);
+  const VecD dq = sub(q_prev, q);
+  sums.premium = add(sums.premium, mul(mul(d, q), dt));
+  sums.accrual = add(sums.accrual, mul(mul(mul(set1(0.5), d), dq), dt));
+  sums.payoff = add(sums.payoff, mul(d, dq));
+  return sums;
+}
+
+}  // namespace
+
+void sweep_ladder_scan(const double* dts, const double* discount,
+                       const double* q_T, std::size_t n_points,
+                       double* sums_T) {
+  LaneSums sums{set1(0.0), set1(0.0), set1(0.0)};
   VecD q_prev = set1(1.0);  // Q(0)
   for (std::size_t i = 0; i < n_points; ++i) {
-    const VecD d = set1(discount[i]);
-    const VecD dt = set1(dts[i]);
     const VecD q = loadu(q_T + i * kW);
-    const VecD dq = sub(q_prev, q);
-    premium = add(premium, mul(mul(d, q), dt));
-    accrual = add(accrual, mul(mul(mul(half, d), dq), dt));
-    payoff = add(payoff, mul(d, dq));
+    sums = leg_step(sums, q_prev, q, discount[i], dts[i]);
+    storeu(sums_T + i * 3 * kW, sums.premium);
+    storeu(sums_T + i * 3 * kW + kW, sums.accrual);
+    storeu(sums_T + i * 3 * kW + 2 * kW, sums.payoff);
     q_prev = q;
   }
-  // checked_grid_sums' annuity add; the positivity check stays with the
-  // caller (per lane, with the scalar diagnostic).
-  storeu(annuity_out, add(premium, accrual));
-  storeu(payoff_out, payoff);
+}
+
+void sweep_stub_sums(const std::int64_t* prefix_row, const double* ladder_q_T,
+                     const double* sums_T, const double* stub_dts,
+                     const double* stub_discount, const double* stub_q_T,
+                     std::size_t n_grids, double* annuity_out,
+                     double* payoff_out) {
+  for (std::size_t g = 0; g < n_grids; ++g) {
+    LaneSums sums{set1(0.0), set1(0.0), set1(0.0)};
+    VecD q_prev = set1(1.0);  // Q(0): a one-point schedule
+    if (prefix_row[g] >= 0) {
+      const auto row = static_cast<std::size_t>(prefix_row[g]);
+      sums = {loadu(sums_T + row * 3 * kW), loadu(sums_T + row * 3 * kW + kW),
+              loadu(sums_T + row * 3 * kW + 2 * kW)};
+      q_prev = loadu(ladder_q_T + row * kW);
+    }
+    sums = leg_step(sums, q_prev, loadu(stub_q_T + g * kW), stub_discount[g],
+                    stub_dts[g]);
+    // checked_grid_sums' annuity add; the positivity check stays with the
+    // caller (per lane, with the scalar diagnostic).
+    storeu(annuity_out + g * kW, add(sums.premium, sums.accrual));
+    storeu(payoff_out + g * kW, sums.payoff);
+  }
 }
 
 }  // namespace cdsflow::cds::simd::CDSFLOW_SIMD_NS

@@ -17,12 +17,13 @@ cds::simd::Level cpu_kernel_level(CpuKernel kernel) {
 
 CpuEngine::CpuEngine(cds::TermStructure interest, cds::TermStructure hazard,
                      CpuEngineConfig config)
-    : pricer_(std::move(interest), std::move(hazard)),
-      kernel_(config.kernel),
-      risk_(config.risk_mode) {
-  if (kernel_ != CpuKernel::kReference) {
-    batch_pricer_ = std::make_unique<cds::BatchPricer>(
-        pricer_.interest(), pricer_.hazard(), cpu_kernel_level(kernel_));
+    : kernel_(config.kernel), risk_(config.risk_mode) {
+  // Each pricer validates both curves on construction.
+  if (kernel_ == CpuKernel::kReference) {
+    reference_pricer_.emplace(std::move(interest), std::move(hazard));
+  } else {
+    batch_pricer_.emplace(std::move(interest), std::move(hazard),
+                          cpu_kernel_level(kernel_));
     kernel_level_ = batch_pricer_->kernel_level();
   }
   risk_config_.bump = config.risk_bump;
@@ -80,14 +81,15 @@ PricingRun CpuEngine::price(std::span<const cds::CdsOption> options) {
     } else {
       // The naive post-pricing workflow: bumped repricings per option.
       const std::size_t buckets = run.ladder_buckets;
+      const cds::TermStructure& interest = reference_pricer_->interest();
+      const cds::TermStructure& hazard = reference_pricer_->hazard();
       for (std::size_t i = 0; i < options.size(); ++i) {
-        run.sensitivities[i] =
-            cds::compute_sensitivities(pricer_.interest(), pricer_.hazard(),
-                                       options[i], risk_config_.bump);
+        run.sensitivities[i] = cds::compute_sensitivities(
+            interest, hazard, options[i], risk_config_.bump);
         if (buckets > 0) {
-          const auto row = cds::cs01_ladder(
-              pricer_.interest(), pricer_.hazard(), options[i],
-              risk_config_.ladder_edges, risk_config_.bump);
+          const auto row =
+              cds::cs01_ladder(interest, hazard, options[i],
+                               risk_config_.ladder_edges, risk_config_.bump);
           std::copy(row.begin(), row.end(),
                     run.cs01_ladder.begin() +
                         static_cast<std::ptrdiff_t>(i * buckets));
@@ -101,8 +103,9 @@ PricingRun CpuEngine::price(std::span<const cds::CdsOption> options) {
     batch_pricer_->price(options, run.results, scratch_.batch);
   } else {
     for (std::size_t i = 0; i < options.size(); ++i) {
-      run.results[i] = {options[i].id,
-                        pricer_.spread_bps(options[i], scratch_.schedule)};
+      run.results[i] = {
+          options[i].id,
+          reference_pricer_->spread_bps(options[i], scratch_.schedule)};
     }
   }
   const auto t1 = std::chrono::steady_clock::now();

@@ -44,7 +44,7 @@
 
 #pragma once
 
-#include <memory>
+#include <optional>
 
 #include "cds/batch_pricer.hpp"
 #include "cds/curve.hpp"
@@ -98,9 +98,10 @@ class CpuEngine final : public Engine {
   bool risk_mode() const { return risk_; }
 
  private:
-  cds::ReferencePricer pricer_;
-  /// Present unless the reference kernel is selected.
-  std::unique_ptr<cds::BatchPricer> batch_pricer_;
+  /// Exactly one is present: the reference pricer for the reference
+  /// kernel, the batch pricer for the others.
+  std::optional<cds::ReferencePricer> reference_pricer_;
+  std::optional<cds::BatchPricer> batch_pricer_;
   /// Scratch kept warm across price() calls: the batch (risk) workspace or
   /// the scalar schedule buffer, whichever kernel/mode is active. An engine
   /// object is never priced on concurrently; lanes own separate replicas.

@@ -219,7 +219,9 @@ TEST(BatchPricer, DedupAccountingOnStandardTenorBook) {
   EXPECT_EQ(stats.options, book.size());
   // 5 tenors x 1 frequency: the whole book collapses to 5 grids.
   EXPECT_EQ(stats.unique_schedules, 5u);
-  EXPECT_EQ(stats.grid_points, 4u + 12u + 20u + 28u + 40u);  // quarterly
+  // Tabulated points: the quarterly ladder to the 10y grid's 39 points
+  // before its stub, plus one stub per grid.
+  EXPECT_EQ(stats.grid_points, 39u + 5u);
   EXPECT_EQ(stats.scalar_points,
             workload::total_time_points(book));
   EXPECT_LT(stats.grid_points, stats.scalar_points / 50);
@@ -244,27 +246,59 @@ TEST(BatchPricer, PrecomputedGridsMatchReferenceCurveMath) {
   const auto stats = batch.price(book, out, ws);
 
   ASSERT_EQ(stats.unique_schedules, 2u);
-  ASSERT_EQ(ws.points.size(), stats.grid_points);
-  ASSERT_EQ(ws.discount.size(), stats.grid_points);
-  ASSERT_EQ(ws.survival.size(), stats.grid_points);
-  ASSERT_EQ(ws.default_mass.size(), stats.grid_points);
-  // The tabulated D/Q/dq grids -- the intermediates a Greeks pass will
-  // differentiate -- must equal the reference curve math point for point.
+  // Each grid is its frequency's ladder cut before its last point, then its
+  // stub: together exactly make_schedule's points, bit for bit.
   for (std::size_t g = 0; g < stats.unique_schedules; ++g) {
-    const std::size_t begin = ws.grid_offset[g];
-    const std::size_t end = g + 1 < stats.unique_schedules
-                                ? ws.grid_offset[g + 1]
-                                : ws.points.size();
-    double q_prev = 1.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      EXPECT_EQ(ws.discount[i],
-                cds::discount_factor(interest, ws.points[i].t));
-      EXPECT_EQ(ws.survival[i],
-                cds::survival_probability(hazard, ws.points[i].t));
-      EXPECT_EQ(ws.default_mass[i], q_prev - ws.survival[i]);
-      q_prev = ws.survival[i];
+    CdsOption option;
+    option.maturity_years = ws.grid_maturity[g];
+    option.payment_frequency = ws.grid_frequency[g];
+    const auto schedule = cds::make_schedule(option);
+    const auto& ladder = ws.ladders[ws.grid_ladder[g]];
+    ASSERT_EQ(ws.grid_prefix[g] + 1, schedule.size());
+    for (std::size_t i = 0; i < ws.grid_prefix[g]; ++i) {
+      EXPECT_EQ(ladder.points[i].t, schedule[i].t);
+      EXPECT_EQ(ladder.points[i].dt, schedule[i].dt);
     }
+    EXPECT_EQ(ws.stub[g].t, schedule.back().t);
+    EXPECT_EQ(ws.stub[g].dt, schedule.back().dt);
   }
+  // The tabulated D/Q values -- the intermediates a Greeks pass
+  // differentiates -- must equal the reference curve math at every ladder
+  // point and stub, and each ladder's running sums the reference walk over
+  // those values (its dq_i = Q(t_{i-1}) - Q(t_i) terms included).
+  std::size_t points = 0;
+  for (const auto& ladder : ws.ladders) {
+    ASSERT_EQ(ladder.discount.size(), ladder.points.size());
+    ASSERT_EQ(ladder.survival.size(), ladder.points.size());
+    ASSERT_EQ(ladder.sums.size(), ladder.points.size());
+    double q_prev = 1.0;
+    cds::detail::LegSums walk;
+    for (std::size_t i = 0; i < ladder.points.size(); ++i) {
+      const cds::TimePoint& p = ladder.points[i];
+      const double q = cds::survival_probability(hazard, p.t);
+      EXPECT_EQ(ladder.discount[i], cds::discount_factor(interest, p.t));
+      EXPECT_EQ(ladder.survival[i], q);
+      const cds::LegTerms terms =
+          cds::leg_terms(interest, q_prev, q, p.t, p.dt);
+      walk.premium += terms.premium;
+      walk.accrual += terms.accrual;
+      walk.payoff += terms.payoff;
+      EXPECT_EQ(ladder.sums[i].premium, walk.premium);
+      EXPECT_EQ(ladder.sums[i].accrual, walk.accrual);
+      EXPECT_EQ(ladder.sums[i].payoff, walk.payoff);
+      q_prev = q;
+    }
+    points += ladder.points.size();
+  }
+  for (std::size_t g = 0; g < ws.tabulated_grids(); ++g) {
+    EXPECT_EQ(ws.stub_discount[g],
+              cds::discount_factor(interest, ws.stub[g].t));
+    EXPECT_EQ(ws.stub_survival[g],
+              cds::survival_probability(hazard, ws.stub[g].t));
+  }
+  // 5y quarterly: 19 ladder points; 2.5y semi-annual: 4; two stubs.
+  EXPECT_EQ(points, 19u + 4u);
+  EXPECT_EQ(stats.grid_points, points + 2u);
 }
 
 TEST(BatchPricer, WorkspaceNeverReusesAnotherCurvesSearchTables) {

@@ -305,6 +305,44 @@ TEST(BatchRisk, EveryLevelBitMatchesTheBumpedBatchLoop) {
 
 // --- accounting and validation ----------------------------------------------
 
+TEST(BatchRisk, BlocksOfGridsBitMatchTheBumpedBatchLoop) {
+  // The risk pass runs its scenarios over blocks of at most 4,096 grids,
+  // each block carrying every ladder. 5,000 continuous maturities over four
+  // frequencies span two blocks and must still equal the loop of plain
+  // batch pricings bit for bit at the host's level.
+  const auto level = cds::simd::detect_level();
+  const auto interest = workload::paper_interest_curve(129, 5);
+  const auto hazard = workload::paper_hazard_curve(129, 6);
+  workload::PortfolioSpec spec;
+  spec.count = 5000;
+  spec.frequencies = {1.0, 2.0, 4.0, 12.0};
+  spec.frequency_weights = {1.0, 1.0, 4.0, 1.0};
+  spec.seed = 1719;
+  const auto book = workload::make_portfolio(spec);
+  BatchRiskConfig config;
+  config.ladder_edges = {0.0, 2.0, 5.0, 10.0};
+
+  const auto run =
+      BatchPricer(interest, hazard, level).price_with_sensitivities(book,
+                                                                    config);
+  ASSERT_GT(run.stats.base.unique_schedules, 4096u);
+  const auto want = bumped_batch_loop(interest, hazard, book, config, level);
+  BitTally tally;
+  for (std::size_t i = 0; i < book.size(); ++i) {
+    const Sensitivities& got = run.sensitivities[i];
+    const Sensitivities& loop = want.sensitivities[i];
+    tally.check(got.spread_bps, loop.spread_bps, "spread", i);
+    tally.check(got.cs01, loop.cs01, "cs01", i);
+    tally.check(got.ir01, loop.ir01, "ir01", i);
+    tally.check(got.rec01, loop.rec01, "rec01", i);
+  }
+  ASSERT_EQ(run.cs01_ladder.size(), want.ladder.size());
+  for (std::size_t k = 0; k < want.ladder.size(); ++k) {
+    tally.check(run.cs01_ladder[k], want.ladder[k], "ladder entry", k / 3);
+  }
+  EXPECT_EQ(tally.differ, 0u);
+}
+
 TEST(BatchRisk, StatsAccountForBumpedTabulations) {
   const auto scenario = workload::smoke_scenario(4);
   workload::PortfolioSpec spec;

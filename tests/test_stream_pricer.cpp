@@ -3,7 +3,8 @@
 /// the batch kernel, cross-batch grid caching, and -- the load-bearing
 /// guarantee -- incremental hazard-quote updates that are bit-consistent
 /// with a full grid rebuild on the updated curve, under randomized updates
-/// and after a batch that failed part-way.
+/// at every SIMD level with payment ladders that grow between updates, and
+/// after a batch that failed part-way.
 
 #include <gtest/gtest.h>
 
@@ -97,37 +98,64 @@ TEST(StreamPricer, GridCachePersistsAcrossBatches) {
 }
 
 TEST(StreamPricer, IncrementalUpdateMatchesFullRebuildRandomized) {
-  const auto interest = test_interest();
-  auto hazard = test_hazard();
-  // Mixed book: repeated tenors plus continuous maturities, so updates hit
-  // both shared and singleton grids.
-  auto book = tenor_book(40, 7);
-  const auto extra = continuous_book(24, 9);
-  book.insert(book.end(), extra.begin(), extra.end());
-
-  cds::StreamPricer stream(interest, hazard);
-  stream_price(stream, book, 13);
-
-  Rng rng(321);
-  for (int round = 0; round < 25; ++round) {
-    const auto knot = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(hazard.size()) - 1));
-    const double rate = hazard.value(knot) * rng.uniform(0.5, 1.5);
-    const std::size_t retabulated = stream.update_hazard_quote(knot, rate);
-    EXPECT_LE(retabulated, stream.stats().cached_grids);
-
-    // Full rebuild on the updated curve: a fresh BatchPricer must agree
-    // bit-for-bit with the incrementally-maintained grids.
-    std::vector<double> values = hazard.values();
-    values[knot] = rate;
-    hazard = cds::TermStructure(hazard.times(), std::move(values));
-    const cds::BatchPricer rebuilt(interest, hazard);
-    expect_identical(stream_price(stream, book, 17), rebuilt.price(book));
+  using Level = cds::simd::Level;
+  std::vector<Level> levels;
+  for (const Level requested : {Level::kScalar, Level::kAvx2, Level::kAvx512}) {
+    const Level level = cds::simd::resolve_level(requested);
+    if (std::find(levels.begin(), levels.end(), level) == levels.end()) {
+      levels.push_back(level);
+    }
   }
-  // The whole point: randomized updates must not have re-tabulated every
-  // grid every time.
-  EXPECT_LT(stream.stats().grids_retabulated,
-            stream.stats().full_rebuild_grids);
+  for (const Level level : levels) {
+    SCOPED_TRACE(cds::simd::to_string(level));
+    const auto interest = test_interest();
+    auto hazard = test_hazard();
+    // Mixed book: repeated tenors plus continuous maturities, so updates
+    // hit both shared and singleton grids.
+    auto book = tenor_book(40, 7);
+    const auto extra = continuous_book(24, 9);
+    book.insert(book.end(), extra.begin(), extra.end());
+
+    cds::StreamPricerConfig config;
+    config.kernel_level = level;
+    cds::StreamPricer stream(interest, hazard, config);
+    stream_price(stream, book, 13);
+
+    Rng rng(321);
+    for (int round = 0; round < 25; ++round) {
+      const auto knot = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(hazard.size()) - 1));
+      const double rate = hazard.value(knot) * rng.uniform(0.5, 1.5);
+      const std::size_t retabulated = stream.update_hazard_quote(knot, rate);
+      EXPECT_LE(retabulated, stream.stats().cached_grids);
+
+      // Full rebuild on the updated curve: a fresh BatchPricer must agree
+      // bit-for-bit with the incrementally-maintained grids.
+      std::vector<double> values = hazard.values();
+      values[knot] = rate;
+      hazard = cds::TermStructure(hazard.times(), std::move(values));
+      const cds::BatchPricer rebuilt(interest, hazard, level);
+      expect_identical(stream_price(stream, book, 17), rebuilt.price(book));
+
+      // Then a batch past every cached maturity, quarterly and monthly:
+      // the cached ladders grow (and the monthly one starts) after the
+      // updates moved their survival values.
+      workload::PortfolioSpec longer;
+      longer.count = 8;
+      longer.maturity_min_years = 10.0 + 0.75 * round;
+      longer.maturity_max_years = longer.maturity_min_years + 0.75;
+      longer.frequencies = {4.0, 12.0};
+      longer.frequency_weights = {1.0, 1.0};
+      longer.seed = 500 + static_cast<std::uint64_t>(round);
+      const auto batch = workload::make_portfolio(longer);
+      expect_identical(stream_price(stream, batch, 3), rebuilt.price(batch));
+      book.insert(book.end(), batch.begin(), batch.end());
+    }
+    // The whole point: randomized updates must not have re-tabulated every
+    // grid every time.
+    EXPECT_LT(stream.stats().grids_retabulated,
+              stream.stats().full_rebuild_grids);
+  }
 }
 
 TEST(StreamPricer, UpdateBeyondBookMaturityRetabulatesNothing) {

@@ -5,7 +5,8 @@
 /// scalar reference, alignment invariance of vector-level columns, the
 /// knot-search table at knot ties and edges, the bit-exact spread combine,
 /// kScalar bit-identical to the reference pricers (columns, spreads, Greeks,
-/// ladder), randomized vec-vs-scalar batch and risk parity across book
+/// ladder), the batch layout bit-identical to a per-option walk at every
+/// level, randomized vec-vs-scalar batch and risk parity across book
 /// shapes and knot counts,
 /// stream bit-consistency across incremental hazard updates, the registry
 /// name grammar, and planner enumeration of the cpu-vec candidates.
@@ -24,6 +25,7 @@
 #include "cds/batch_pricer.hpp"
 #include "cds/curve.hpp"
 #include "cds/hazard.hpp"
+#include "cds/legs.hpp"
 #include "cds/precision.hpp"
 #include "cds/pricer.hpp"
 #include "cds/risk.hpp"
@@ -426,12 +428,25 @@ TEST(VectorKernel, ScalarLevelIsBitIdenticalToReference) {
     BatchPricer::Workspace ws;
     std::vector<cds::SpreadResult> spreads(book.size());
     batch.price(book, spreads, ws);
-    for (std::size_t i = 0; i < ws.points.size(); ++i) {
-      const double t = ws.points[i].t;
-      ASSERT_EQ(ws.survival[i], cds::survival_probability_prefix(prefix, t))
-          << "survival point " << i;
-      ASSERT_EQ(ws.discount[i], std::exp(-interest.interpolate_fast(t) * t))
-          << "discount point " << i;
+    for (const auto& ladder : ws.ladders) {
+      for (std::size_t i = 0; i < ladder.points.size(); ++i) {
+        const double t = ladder.points[i].t;
+        ASSERT_EQ(ladder.survival[i],
+                  cds::survival_probability_prefix(prefix, t))
+            << "ladder survival point " << i;
+        ASSERT_EQ(ladder.discount[i],
+                  std::exp(-interest.interpolate_fast(t) * t))
+            << "ladder discount point " << i;
+      }
+    }
+    for (std::size_t g = 0; g < ws.tabulated_grids(); ++g) {
+      const double t = ws.stub[g].t;
+      ASSERT_EQ(ws.stub_survival[g],
+                cds::survival_probability_prefix(prefix, t))
+          << "stub survival of grid " << g;
+      ASSERT_EQ(ws.stub_discount[g],
+                std::exp(-interest.interpolate_fast(t) * t))
+          << "stub discount of grid " << g;
     }
     for (std::size_t i = 0; i < book.size(); ++i) {
       EXPECT_EQ(spreads[i].id, book[i].id);
@@ -484,6 +499,77 @@ TEST(VectorKernel, ScalarLevelIsBitIdenticalToReference) {
                 batch_run.results[i].spread_bps);
     }
   }
+}
+
+// --- the batch layout against a per-option walk, at every level ----------
+
+TEST(VectorKernel, BatchLayoutBitMatchesAPerOptionWalkAtEveryLevel) {
+  // The kernel tabulates one ladder per frequency plus one stub per grid
+  // and reads each grid's sums off its ladder's running sums. Pricing each
+  // option alone -- its own schedule, its own columns, the reference walk
+  // and combine -- must give the same bits at every level: a column value
+  // does not depend on which call or lane computed it, and the sums are
+  // the walk's own operations in its own order.
+  std::vector<Level> levels{Level::kScalar};
+  for (const Level level : available_vector_levels()) levels.push_back(level);
+  const auto interest = workload::paper_interest_curve(256, 31);
+  const auto hazard = workload::paper_hazard_curve(256, 32);
+  const auto prefix = cds::make_hazard_prefix(hazard);
+
+  std::vector<CdsOption> book;
+  Rng rng(4242);
+  std::int32_t id = 0;
+  for (const double frequency : {1.0, 2.0, 4.0, 12.0}) {
+    // On a payment date, a hair either side of it, below one period, and
+    // thirty years (360 monthly points).
+    for (const double maturity :
+         {5.0, 5.0 + 1e-10, 5.0 - 1e-10, 0.1, 1.0 / 12.0, 30.0}) {
+      book.push_back({id++, maturity, frequency, 0.4});
+    }
+    for (int i = 0; i < 1000; ++i) {
+      book.push_back(
+          {id++, rng.uniform(0.05, 30.0), frequency, rng.uniform(0.0, 0.9)});
+    }
+  }
+
+  std::size_t differ = 0;
+  for (const Level level : levels) {
+    SCOPED_TRACE(cds::simd::to_string(level));
+    const auto got = BatchPricer(interest, hazard, level).price(book);
+    cds::simd::SearchTables search;
+    search.prepare(interest, prefix, level);
+    for (std::size_t i = 0; i < book.size(); ++i) {
+      const auto points = cds::make_schedule(book[i]);
+      std::vector<double> discount(points.size());
+      std::vector<double> survival(points.size());
+      cds::simd::tabulate_columns(interest, prefix, search, points, discount,
+                                  survival, level);
+      double premium = 0.0;
+      double accrual = 0.0;
+      double payoff = 0.0;
+      double q_prev = 1.0;
+      for (std::size_t j = 0; j < points.size(); ++j) {
+        const cds::LegTerms terms = cds::leg_terms_from_discount(
+            discount[j], q_prev, survival[j], points[j].dt);
+        premium += terms.premium;
+        accrual += terms.accrual;
+        payoff += terms.payoff;
+        q_prev = survival[j];
+      }
+      const double want = cds::combine_spread_bps(premium, accrual, payoff,
+                                                  book[i].recovery_rate);
+      if (std::bit_cast<std::uint64_t>(got[i].spread_bps) !=
+          std::bit_cast<std::uint64_t>(want)) {
+        if (++differ <= 10) {
+          ADD_FAILURE() << "option " << i << " (maturity "
+                        << book[i].maturity_years << ", frequency "
+                        << book[i].payment_frequency << "): batch "
+                        << got[i].spread_bps << ", walk " << want;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(differ, 0u);
 }
 
 // --- randomized batch parity (VectorKernelContract::kSpreadRelTol) ----------
