@@ -164,7 +164,7 @@ ClusterRun ClusterCoordinator::price(
   // Not board-guarded: each slot is owned by exactly one drive task at a
   // time (a shard is handed out under the lock, and an orphaned shard is
   // only re-handed-out after its owner stopped touching the slot), and the
-  // merge below reads the slots after every drive task's future is ready.
+  // merge below reads the slots after every runner lane has returned.
   std::vector<ShardState> done(shards.size());
 
   // The dispatch board: per-node queues seeded from the plan, plus an
@@ -295,9 +295,11 @@ ClusterRun ClusterCoordinator::price(
     }
   };
 
-  // One drive task per node, each on its own runner lane. A task must never
-  // leave the board waiting: any exception that escapes the drive body (not
-  // only a node failure) becomes the run's fatal error and wakes the other
+  // One drive task per node. The runner's lanes, the caller included, are as
+  // many as the tasks, and a lane blocks only inside a task it claimed, so
+  // no task is left unclaimed behind a blocked one. A task must never leave
+  // the board waiting: any exception that escapes the drive body (not only
+  // a node failure) becomes the run's fatal error and wakes the other
   // tasks, which then return -- otherwise they would wait on board.cv, and
   // run() on them, forever.
   const auto drive_tasks = runtime::plan_shards(nodes_.size(), 1);
@@ -316,11 +318,12 @@ ClusterRun ClusterCoordinator::price(
   });
   const auto t1 = std::chrono::steady_clock::now();
 
-  // run() returns once every drive task's future is ready, which publishes
-  // the tasks' final writes, but the board stays locked for these reads
-  // anyway: the lock costs nothing then, keeps every board access under its
-  // capability, and lets the thread-safety analysis prove the whole
-  // dispatch instead of special-casing the tail.
+  // run() returns once every lane has returned -- the worker lanes through
+  // their claim tasks' futures -- which publishes the tasks' final writes,
+  // but the board stays locked for these reads anyway: the lock costs
+  // nothing then, keeps every board access under its capability, and lets
+  // the thread-safety analysis prove the whole dispatch instead of
+  // special-casing the tail.
   std::string fatal_message;
   std::size_t shards_remaining = 0;
   std::size_t nodes_dead = 0;

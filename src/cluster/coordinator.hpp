@@ -10,15 +10,15 @@
 /// the same contiguity that makes the in-process merge deterministic),
 /// assigns them to nodes with the planner's earliest-finish schedule, and
 /// drives each node as one task on a runtime::ShardRunner with one lane per
-/// node; results are merged by concatenating shard rows in shard
-/// (= submission) order, so the merged values are bit-identical to a
-/// single-process run of the same engine whatever node priced which shard
-/// (see docs/CLUSTER.md for the full contract).
+/// node, the caller's thread included; results are merged by concatenating
+/// shard rows in shard (= submission) order, so the merged values are
+/// bit-identical to a single-process run of the same engine whatever node
+/// priced which shard (see docs/CLUSTER.md for the full contract).
 ///
-/// Threads: construction starts none. A one-node cluster drives its node
-/// inline on the caller; a multi-node cluster starts its lanes on the first
-/// price() and keeps them until it is destroyed, so no later call starts a
-/// thread.
+/// Threads: construction starts none. The caller drives one node itself, as
+/// the runner's lane 0; a cluster of N nodes starts N - 1 lane threads on
+/// its first price() and keeps them until it is destroyed, so a one-node
+/// cluster never starts a thread and no later call starts one.
 ///
 /// Failure semantics: a worker that drops its connection or times out
 /// mid-run is declared dead for the run; its unfinished shards (including
@@ -145,8 +145,8 @@ class ClusterCoordinator {
   CoordinatorConfig config_;
   std::vector<net::Client> clients_;
   std::vector<engine::ClusterNode> nodes_;
-  /// One lane per node. Declared after the clients its workers use, so it
-  /// joins them first.
+  /// One lane per node, lane 0 the caller. Declared after the clients its
+  /// workers use, so it joins them first.
   runtime::ShardRunner runner_;
 };
 

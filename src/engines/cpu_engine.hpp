@@ -36,11 +36,12 @@
 /// (BatchPricer::price_with_sensitivities).
 ///
 /// The engine starts no threads. Multi-core CPU runs go through
-/// runtime::PortfolioRuntime: one engine per ShardRunner lane, and with
-/// shard_size = ceil(n / workers) one contiguous shard per lane -- the
-/// paper's static per-thread partition, merged bit for bit (the paper
-/// observes the scalar workload scales poorly anyway, ~9x on 24 cores,
-/// being memory-bound on the curve scans).
+/// runtime::PortfolioRuntime: one engine per ShardRunner lane, lane 0
+/// pricing on the caller's thread, and with shard_size = ceil(n / workers)
+/// one contiguous shard per lane -- the paper's static per-thread
+/// partition, merged bit for bit (the paper observes the scalar workload
+/// scales poorly anyway, ~9x on 24 cores, being memory-bound on the curve
+/// scans).
 
 #pragma once
 

@@ -7,11 +7,11 @@
 /// into N chunks", Sec. IV / Table II). This runtime applies the same recipe
 /// on the host: N engine replicas (any registry engine -- cpu, dataflow,
 /// vectorised, multi-*, cluster-*), one per lane of a ShardRunner
-/// (shard_runner.hpp: replica k belongs to lane k; a multi-lane runtime
-/// keeps its worker threads from its first price() call until it is
-/// destroyed), and a deterministic merge of the per-shard PricingRuns back
-/// into submission order. Each shard is a subspan of the caller's book, not
-/// a copy.
+/// (shard_runner.hpp: replica k belongs to lane k; lane 0 prices on the
+/// thread that calls price(), and a runtime of N lanes keeps N - 1 worker
+/// threads from its first price() call until it is destroyed), and a
+/// deterministic merge of the per-shard PricingRuns back into submission
+/// order. Each shard is a subspan of the caller's book, not a copy.
 ///
 /// Determinism guarantee: shards are contiguous slices of the book, each
 /// shard is priced whole by one engine replica, and the merge concatenates
@@ -60,7 +60,8 @@ namespace cdsflow::runtime {
 struct RuntimeConfig {
   /// Registry name of the shard worker engine (see engines/registry.hpp).
   std::string engine = "vectorised";
-  /// Lanes driving shards, one engine replica and one thread each. 0 selects
+  /// Lanes driving shards, one engine replica each: the calling thread is
+  /// lane 0 and every other lane a worker thread. 0 selects
   /// hardware_concurrency().
   unsigned workers = 0;
   /// Options per shard. 0 picks auto_shard_size() (about 4 shards/worker).

@@ -4,8 +4,9 @@
 ///
 /// The batch runtime shards the *options* axis; the sweep runtime shards
 /// the *scenario* axis with the identical recipe, the same ShardRunner
-/// (one replica per lane; a multi-lane runtime keeps its worker threads from
-/// its first run() call until it is destroyed) and the identical
+/// (one replica per lane; lane 0 is the calling thread, and a runtime of N
+/// lanes keeps N - 1 worker threads from its first run() call until it is
+/// destroyed) and the identical
 /// determinism contract: shards are contiguous scenario ranges, each range
 /// is swept whole by one replica, and per-shard outputs land in disjoint
 /// slices of one aggregate array -- submission order by construction,
@@ -34,7 +35,8 @@
 namespace cdsflow::runtime {
 
 struct SweepRuntimeConfig {
-  /// Worker threads == replica lanes. 0 selects hardware_concurrency().
+  /// Replica lanes: the calling thread plus workers - 1 threads. 0 selects
+  /// hardware_concurrency().
   unsigned workers = 0;
   /// Scenarios per shard. 0 picks auto_shard_size() over the scenario count.
   std::size_t shard_size = 0;

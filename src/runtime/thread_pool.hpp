@@ -2,15 +2,17 @@
 /// A small fixed-size worker pool for the batch and streaming runtimes.
 ///
 /// Deliberately minimal: FIFO task queue, std::future-based completion, no
-/// work stealing. The runtimes submit one task per shard / micro-batch;
-/// fairness and load balance come from oversubscription (see shard.hpp), not
-/// from the pool. Kept as its own component so the batch, sweep and
-/// streaming runtimes all share it.
+/// work stealing. The shard runner (shard_runner.hpp) submits one claim
+/// task per worker per call, and its lanes balance the load by claiming
+/// shards from a shared counter; the stream runtime submits one task per
+/// micro-batch. Kept as its own component so the batch, sweep and streaming
+/// runtimes all share it.
 ///
 /// Every task is told the index of the worker running it, in [0, size()).
 /// A worker runs one task at a time, so per-worker state indexed by it
-/// (the runtimes' engine / pricer replicas: replica k belongs to worker k)
-/// is never touched by two tasks at once and needs no lock.
+/// is never touched by two tasks at once and needs no lock: the stream
+/// runtime's pricer replica k belongs to worker k, and the shard runner's
+/// lane w + 1 (its lane 0 is the calling thread) to worker w.
 ///
 /// Shutdown contract:
 ///   * stop() (also run by the destructor) closes the submission window,

@@ -4,7 +4,8 @@
 /// (bit-identical to a single-engine run for every CPU kernel and risk
 /// mode, including empty and one-option books), determinism across worker
 /// counts, the modelled multi-lane scaling, failing shards on a multi-lane
-/// runtime, and when the lanes' threads start.
+/// runtime, the shard runner's claim loop, and when the lanes' threads
+/// start.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <future>
 #include <iterator>
 #include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -255,28 +257,115 @@ TEST(ThreadPool, TasksSeeTheirWorkerIndex) {
 }
 
 TEST(ShardRunner, WaitsForEveryShardBeforeRethrowing) {
-  runtime::ShardRunner runner(4);
-  const auto plan = runtime::plan_shards(16, 1);
-  std::atomic<int> returned{0};
-  EXPECT_THROW(runner.run(plan,
-                          [&](const runtime::Shard& shard, unsigned) {
-                            if (shard.index == 5) throw Error("bad shard");
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(2));
-                            ++returned;
-                            return 1.0;
-                          }),
-               Error);
-  EXPECT_EQ(returned.load(), 15);
+  for (const unsigned lanes : {1u, 4u}) {
+    SCOPED_TRACE(lanes);
+    runtime::ShardRunner runner(lanes);
+    const auto plan = runtime::plan_shards(16, 1);
+    std::atomic<int> returned{0};
+    EXPECT_THROW(runner.run(plan,
+                            [&](const runtime::Shard& shard, unsigned) {
+                              if (shard.index == 5) throw Error("bad shard");
+                              std::this_thread::sleep_for(
+                                  std::chrono::milliseconds(2));
+                              ++returned;
+                              return 1.0;
+                            }),
+                 Error);
+    EXPECT_EQ(returned.load(), 15);
 
-  // The pool outlives the failed call and runs the next one.
-  const auto schedule = runner.run(
-      plan, [](const runtime::Shard&, unsigned lane) {
-        EXPECT_LT(lane, 4u);
-        return 1.0;
-      });
-  EXPECT_EQ(schedule.makespan_seconds, 4.0);
-  EXPECT_EQ(schedule.lane.size(), plan.size());
+    // The runner outlives the failed call and runs the next one.
+    const auto schedule = runner.run(
+        plan, [lanes](const runtime::Shard&, unsigned lane) {
+          EXPECT_LT(lane, lanes);
+          return 1.0;
+        });
+    EXPECT_EQ(schedule.makespan_seconds, 16.0 / lanes);
+    EXPECT_EQ(schedule.lane.size(), plan.size());
+  }
+}
+
+TEST(ShardRunner, EveryShardRunsOnceOnAnOwnedLane) {
+  // Back-to-back runs of random plans, some with throwing shards, on
+  // lasting multi-lane runners: the claim loop must hand every shard to
+  // exactly one lane, keep lane 0 on the caller and the other lanes off it,
+  // never let two shards hold one lane's replica at once, and rethrow the
+  // lowest failing plan position.
+  Rng rng(2108);
+  const auto caller = std::this_thread::get_id();
+  for (const unsigned lanes : {2u, 3u, 4u}) {
+    SCOPED_TRACE(lanes);
+    runtime::ShardRunner runner(lanes);
+    std::vector<std::atomic<bool>> in_use(lanes);
+    std::atomic<int> shared_lane{0};
+    std::atomic<int> misplaced_lane{0};
+    int clean_after_failure = 0;
+    int helper_shards = 0;
+    bool failed_before = false;
+    for (int r = 0; r < 1000; ++r) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(0, 40));
+      const auto plan = runtime::plan_shards(n, 1);
+      std::vector<char> throws(n, 0);
+      if (n > 0 && rng.uniform01() < 0.25) {
+        for (auto k = rng.uniform_int(1, 3); k > 0; --k) {
+          throws[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))] = 1;
+        }
+      }
+      const auto first_failure = static_cast<std::size_t>(
+          std::find(throws.begin(), throws.end(), 1) - throws.begin());
+      std::vector<std::atomic<int>> runs(n);
+      std::vector<unsigned> lane_of(n, lanes);
+
+      std::string error;
+      runtime::ShardSchedule schedule;
+      try {
+        schedule = runner.run(plan, [&](const runtime::Shard& shard,
+                                        unsigned lane) {
+          if (lane >= lanes) {
+            ++misplaced_lane;
+            return 0.0;
+          }
+          if (in_use[lane].exchange(true)) ++shared_lane;
+          if ((lane == 0) != (std::this_thread::get_id() == caller)) {
+            ++misplaced_lane;
+          }
+          ++runs[shard.index];
+          lane_of[shard.index] = lane;
+          std::this_thread::yield();
+          in_use[lane].store(false);
+          if (throws[shard.index]) {
+            throw Error("shard " + std::to_string(shard.index));
+          }
+          return static_cast<double>(shard.index + 1);
+        });
+      } catch (const Error& e) {
+        error = e.what();
+      }
+
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(runs[i].load(), 1) << "run " << r << ", shard " << i;
+        ASSERT_LT(lane_of[i], lanes) << "run " << r << ", shard " << i;
+        if (lane_of[i] != 0) ++helper_shards;
+      }
+      if (first_failure < n) {
+        ASSERT_EQ(error, "shard " + std::to_string(first_failure))
+            << "run " << r;
+        failed_before = true;
+        continue;
+      }
+      ASSERT_EQ(error, "") << "run " << r;
+      ASSERT_EQ(schedule.seconds.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(schedule.seconds[i], static_cast<double>(i + 1));
+      }
+      if (failed_before) ++clean_after_failure;
+      failed_before = false;
+    }
+    EXPECT_EQ(shared_lane.load(), 0);
+    EXPECT_EQ(misplaced_lane.load(), 0);
+    EXPECT_GT(clean_after_failure, 0);
+    EXPECT_GT(helper_shards, 0) << "no shard ran on a worker lane";
+  }
 }
 
 /// Threads of this process: one /proc/self/task entry each.
@@ -312,17 +401,18 @@ TEST(ShardRunner, ZeroLanesMeansAllCoresAndNoThreadStartsBeforeRun) {
         check(live_threads() == before,
               "a runner started a thread before its first run");
 
-        // The first run starts the lanes; later runs reuse them.
+        // The first run starts lanes 1 and 2 (the caller is lane 0); later
+        // runs reuse them.
         const auto plan = runtime::plan_shards(6, 1);
         const auto one_second = [](const runtime::Shard&, unsigned) {
           return 1.0;
         };
         three.run(plan, one_second);
-        check(live_threads() == before + 3,
-              "the first run must start exactly 3 lanes");
+        check(live_threads() == before + 2,
+              "the first run must start exactly 2 threads");
         three.run(plan, one_second);
-        check(live_threads() == before + 3,
-              "a second run must reuse the 3 lanes");
+        check(live_threads() == before + 2,
+              "a second run must reuse the 2 threads");
         std::exit(0);
       },
       ::testing::ExitedWithCode(0), "");

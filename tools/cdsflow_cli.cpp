@@ -10,8 +10,8 @@
 ///
 /// `--workers` / `--shard-size` route pricing through the sharded batch
 /// runtime (src/runtime/): the book is cut into shards and priced on N
-/// lanes (one engine replica and one thread each), results merged back in
-/// submission order.
+/// lanes (one engine replica and one thread each, lane 0 the calling
+/// thread), results merged back in submission order.
 ///
 /// `--auto-plan` replaces the hand-chosen flags with the probe-calibrated
 /// auto-planner (engines/planner.hpp): every candidate back-end is probed
